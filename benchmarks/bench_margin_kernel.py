@@ -2,11 +2,14 @@
 """Benchmark the privacy-scan kernel on each available backend.
 
 For every admissible query pair the scan finds the worst grid interval.  The
-numpy backend does it with a running minimum, so its work grows like
-(pairs x grid points); the numba backend loops over every interval, so its
-work grows like (pairs x intervals).  This script times each available
-backend on the same inputs, checks that they agree, and reports the speedup
-when both are present.  Run after `pip install -e .`:
+numpy backend does it with a running minimum, streamed over the grid
+columns, so its work grows like (pairs x grid points) and its memory like
+pairs; the numba backend loops over every interval, so its work grows like
+(pairs x intervals).  This script times each available backend on the same
+inputs, checks that they agree, and reports the speedup when both are
+present.  Next to each time it reports the peak memory that ``tracemalloc``
+traced during one further call; numpy reports its buffers to it, numba's
+compiled code may not.  Run after `pip install -e .`:
 
     python benchmarks/bench_margin_kernel.py --grids 60 100 160 200
 """
@@ -14,6 +17,7 @@ when both are present.  Run after `pip install -e .`:
 import argparse
 import math
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -44,6 +48,16 @@ def best_time(backend, case, repeats):
     return best, result
 
 
+def peak_traced_mb(backend, case):
+    cdf, pa, pb, amp = case
+    tracemalloc.start()
+    try:
+        worst_interval_margin(cdf, pa, pb, amp, backend=backend)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--grids", type=int, nargs="+", default=[60, 100, 160, 200])
@@ -54,7 +68,7 @@ def main():
     print(f"available backends: {', '.join(backends)}")
     header = f"{'grid':>6} {'pairs':>8} {'intervals':>10}"
     for b in backends:
-        header += f" {b + ' [s]':>12}"
+        header += f" {b + ' [s]':>12} {b + ' [MB]':>12}"
     if len(backends) == 2:
         header += f" {'speedup':>9}"
     print(header)
@@ -68,7 +82,7 @@ def main():
         margins = {}
         for backend in backends:
             times[backend], margins[backend] = best_time(backend, case, args.repeats)
-            row += f" {times[backend]:>12.4f}"
+            row += f" {times[backend]:>12.4f} {peak_traced_mb(backend, case):>12.1f}"
         if len(backends) == 2:
             row += f" {times['numpy'] / times['numba']:>8.1f}x"
             assert margins["numba"] == margins["numpy"], "backends disagree"

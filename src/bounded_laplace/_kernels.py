@@ -3,8 +3,9 @@
 The scan maximises ``P_q(A) - amp * P_q'(A)`` over every admissible query
 pair and every grid interval ``A = [x_i, x_j]``.  With ``d = F_q - amp *
 F_q'`` on the grid, that is ``max_{i<j} d[j] - d[i]`` per pair.  The numpy
-backend computes it as ``max_j (d[j] - min(d[:j]))`` with a running minimum,
-O(pairs * m) for ``m`` grid points; the numba backend compiles the direct
+backend computes it as ``max_j (d[j] - min(d[:j]))`` in one pass over the
+``m`` grid columns, all pairs at once: O(pairs * m) time and O(pairs)
+working memory, with no chunking.  The numba backend compiles the direct
 O(pairs * m^2) loop over all intervals.  Both return the same margin and
 witness.  Unions of two disjoint intervals are searched with running
 extrema, O(pairs * m) on both backends.  numba is optional: it is used when
@@ -59,7 +60,9 @@ def worst_interval_margin(cdf, pair_a, pair_b, amp, backend=None, two_intervals=
     between equal margins go to the lexicographically first ``(p, i, j)``,
     and both backends return the same float margin and the same witness:
     each margin is the float difference ``d[j] - d[i]`` of the same two
-    entries.
+    entries.  The numpy single-interval scan streams over the grid columns
+    and keeps a few length-pairs vectors, so its memory is O(pairs), not
+    O(pairs * m).
     """
     cdf = np.ascontiguousarray(cdf, dtype=np.float64)
     pair_a = np.ascontiguousarray(pair_a, dtype=np.int64)
@@ -96,21 +99,29 @@ def worst_interval_margin(cdf, pair_a, pair_b, amp, backend=None, two_intervals=
 
 
 def _single_margin_numpy(cdf, pair_a, pair_b, amp):
-    m = cdf.shape[1]
-    best = -np.inf
-    bp = -1
-    chunk = max(1, 2_000_000 // m)
-    for s in range(0, pair_a.size, chunk):
-        d = cdf[pair_a[s:s + chunk]] - amp * cdf[pair_b[s:s + chunk]]
-        # gain[r, j - 1] = d[j] - min(d[:j]): the best interval ending at j
-        gain = d[:, 1:] - np.minimum.accumulate(d[:, :-1], axis=1)
-        k = int(np.argmax(gain))
-        v = float(gain.flat[k])
-        if v > best:
-            best, bp = v, s + k // (m - 1)
+    # One pass over the grid columns with three length-pairs vectors, plus
+    # one scratch: ``d`` (this column), ``low`` = min(d[:j]) and ``best`` =
+    # the best d[j] - low so far.  min and max are exact, so each gain is the
+    # float subtraction of the same two entries as in the quadratic scan.
+    cols = np.ascontiguousarray(cdf.T)
+    d = np.empty(pair_a.size)
+    tmp = np.empty(pair_a.size)
+    low = cols[0, pair_a] - amp * cols[0, pair_b]
+    best = np.full(pair_a.size, -np.inf)
+    for col in cols[1:]:
+        # indices were range-checked by the caller; mode="clip" lets take
+        # write straight into ``out`` instead of buffering
+        np.take(col, pair_a, out=d, mode="clip")
+        np.multiply(np.take(col, pair_b, out=tmp, mode="clip"), amp, out=tmp)
+        np.subtract(d, tmp, out=d)
+        np.maximum(best, np.subtract(d, low, out=tmp), out=best)
+        np.minimum(low, d, out=low)
+    # argmax takes the first pair attaining the maximum
+    bp = int(np.argmax(best))
+    v = float(best[bp])
     d = cdf[pair_a[bp]] - amp * cdf[pair_b[bp]]
-    bi, bj = _first_interval(d, best)
-    return best, bp, bi, bj
+    bi, bj = _first_interval(d, v)
+    return v, bp, bi, bj
 
 
 def _first_interval(d, target):

@@ -123,6 +123,9 @@ def _cmd_sweep(args) -> int:
     dq_max = args.dq_max if args.dq_max is not None else args.width
     sensitivities = np.logspace(math.log10(args.dq_min), math.log10(dq_max),
                                 args.dq_steps)
+    if sensitivities.size > 1:
+        # 10 ** log10(dq_max) can miss dq_max by an ulp, and land above the width
+        sensitivities[-1] = dq_max
     epsilons = np.logspace(math.log10(args.eps_min), math.log10(args.eps_max),
                            args.eps_steps)
     cells = epsilon_ratio_grid(args.width, sensitivities, epsilons,

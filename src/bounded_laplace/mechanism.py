@@ -212,18 +212,35 @@ class CalibratedMechanism:
         pa = np.asarray(p, dtype=float)
         if np.any(~np.isfinite(pa)) or np.any((pa < 0.0) | (pa > 1.0)):
             raise ValueError(f"probability must lie in [0, 1], got {p!r}")
+        out = self._quantile(qa, pa)
+        return float(out) if out.ndim == 0 else out
+
+    def _quantile(self, qa, pa):
+        """:meth:`quantile` on validated arrays, built in two output buffers."""
         d, b = self.domain, self.scale
         h_lo = 0.5 * np.exp(-(qa - d.lower) / b)
         h_hi = 0.5 * np.exp(-(d.upper - qa) / b)
         c = 1.0 - h_lo - h_hi
         # Mass below the target point, measured on the unbounded distribution;
         # the upper branch is computed from the upper tail to avoid cancellation.
-        t = h_lo + pa * c
+        t = np.asarray(pa * c)
+        t += h_lo
+        use_below = t <= 0.5
+        above = np.subtract(1.0, pa, out=np.empty_like(t))
         with np.errstate(divide="ignore"):
-            below = qa + b * np.log(2.0 * t)
-            above = qa - b * np.log(2.0 * (h_hi + (1.0 - pa) * c))
-        out = np.clip(np.where(t <= 0.5, below, above), d.lower, d.upper)
-        return float(out) if out.ndim == 0 else out
+            # below = q + b * log(2 * t), in the buffer of t
+            below = np.log(np.multiply(t, 2.0, out=t), out=t)
+            below *= b
+            below += qa
+            # above = q - b * log(2 * (h_hi + (1 - p) * c))
+            above *= c
+            above += h_hi
+            above *= 2.0
+            np.log(above, out=above)
+            above *= b
+            np.subtract(qa, above, out=above)
+        np.copyto(above, below, where=use_below)
+        return np.clip(above, d.lower, d.upper, out=above)
 
     def sample_inverse(self, q, rng, size=None):
         """Inverse-transform sample(s) using uniforms from the open (0, 1).
@@ -232,13 +249,14 @@ class CalibratedMechanism:
         domain endpoint.  Returns a float for ``size=None``, else an array.
         """
         n = _sample_count(size)
+        qa = self.domain.require_query(q)
         u = rng.random(n)
         while True:
             zero = u == 0.0
             if not zero.any():
                 break
             u[zero] = rng.random(int(zero.sum()))
-        x = self.quantile(q, u)
+        x = self._quantile(qa, u)
         return float(x[0]) if size is None else x
 
     def sample_rejection(self, q, rng, size=None):

@@ -100,6 +100,15 @@ class VerificationReport:
         }
 
 
+def _pair_tolerance(domain):
+    """Rounding allowance on ``|q - q'| <= sensitivity``.
+
+    Grid points and ``lower + sensitivity`` are rounded at the scale of the
+    larger domain edge, which can far exceed the width.
+    """
+    return 8.0 * np.spacing(max(abs(domain.lower), abs(domain.upper), domain.width))
+
+
 def check_privacy_inequality(mech, config=None, backend=None) -> CheckResult:
     """Brute-force the DP inequality over grids of query pairs and intervals.
 
@@ -114,9 +123,8 @@ def check_privacy_inequality(mech, config=None, backend=None) -> CheckResult:
     qs = np.linspace(d.lower, d.upper, config.q_grid_size)
     xs = np.linspace(d.lower, d.upper, config.set_grid_size)
     cdf = mech.cdf(qs[:, None], xs[None, :])
-    sep_tol = 8.0 * np.spacing(max(abs(d.lower), abs(d.upper), d.width))
     pair_a, pair_b = np.nonzero(
-        np.abs(qs[:, None] - qs[None, :]) <= d.sensitivity + sep_tol
+        np.abs(qs[:, None] - qs[None, :]) <= d.sensitivity + _pair_tolerance(d)
     )
     raw, pair_idx, intervals = worst_interval_margin(
         cdf, pair_a, pair_b, math.exp(budget.epsilon),
@@ -292,7 +300,7 @@ def empirical_privacy_estimate(mech, q, q_prime, samples: int = 1_000_000,
     d = mech.domain
     q = float(d.require_query(q))
     q_prime = float(d.require_query(q_prime))
-    if abs(q - q_prime) > d.sensitivity + 8.0 * np.spacing(d.width):
+    if abs(q - q_prime) > d.sensitivity + _pair_tolerance(d):
         raise ValueError("q and q_prime must be within one sensitivity of each other")
     if samples < 1 or bins < 1:
         raise ValueError("samples and bins must be positive")

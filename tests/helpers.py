@@ -54,3 +54,22 @@ def damped_fixed_point(domain, budget, rel_tol=1e-14, max_steps=200_000):
         prev = res
         b = b + lam * (fb - b)
     raise AssertionError("damped fixed-point iteration did not converge")
+
+
+def reference_quantile(mech, q, p):
+    """Oracle for ``CalibratedMechanism.quantile``: its formula as first
+    written, with a fresh temporary for every step."""
+    qa = mech.domain.require_query(q)
+    pa = np.asarray(p, dtype=float)
+    if np.any(~np.isfinite(pa)) or np.any((pa < 0.0) | (pa > 1.0)):
+        raise ValueError(f"probability must lie in [0, 1], got {p!r}")
+    d, b = mech.domain, mech.scale
+    h_lo = 0.5 * np.exp(-(qa - d.lower) / b)
+    h_hi = 0.5 * np.exp(-(d.upper - qa) / b)
+    c = 1.0 - h_lo - h_hi
+    t = h_lo + pa * c
+    with np.errstate(divide="ignore"):
+        below = qa + b * np.log(2.0 * t)
+        above = qa - b * np.log(2.0 * (h_hi + (1.0 - pa) * c))
+    out = np.clip(np.where(t <= 0.5, below, above), d.lower, d.upper)
+    return float(out) if out.ndim == 0 else out

@@ -244,6 +244,19 @@ def test_sweep_emits_na_and_fails_on_bad_cells(capsys):
     assert all(r[2] == "NA" and r[3] == "NA" for r in na_rows)
 
 
+def test_sweep_last_sensitivity_is_exactly_the_width(capsys):
+    # 10 ** log10(width) rounds one ulp above this width
+    width = "1.969390655208028"
+    code, out, _ = run_cli(
+        ["sweep", "--width", width, "--dq-min", "0.001969390655208028",
+         "--dq-steps", "3", "--eps-steps", "2"], capsys)
+    assert code == 0
+    assert "NA" not in out
+    last = list(csv.reader(io.StringIO(out)))[-1]
+    assert float(last[0]) == float(width)
+    assert float(last[4]) == 1.0
+
+
 def test_sweep_deterministic(capsys):
     argv = ["sweep", "--dq-steps", "3", "--eps-steps", "2"]
     _, out1, _ = run_cli(argv, capsys)

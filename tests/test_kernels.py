@@ -1,6 +1,10 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from bounded_laplace import CalibratedMechanism, OutputDomain, PrivacyBudget, calibrate
 from bounded_laplace._kernels import (
     active_backend,
     available_backends,
@@ -116,9 +120,14 @@ def test_numpy_kernel_matches_quadratic_scan_bitwise():
     rng = np.random.default_rng(6)
     for _ in range(10):
         cdf, pa, pb, amp = random_case(rng)
-        best, (p, i, j) = quadratic_single(cdf, pa, pb, amp)
-        assert worst_interval_margin(cdf, pa, pb, amp, backend="numpy") == (
-            best, p, ((i, j),))
+        # pairs in row order; shuffled, so not sorted by row; and the pairs
+        # (q, q) alone, where d = (1 - amp) F_q makes every margin negative
+        diagonal = np.flatnonzero(pa == pb)
+        for order in (np.arange(pa.size), rng.permutation(pa.size), diagonal):
+            best, (p, i, j) = quadratic_single(cdf, pa[order], pb[order], amp)
+            assert worst_interval_margin(
+                cdf, pa[order], pb[order], amp, backend="numpy") == (
+                best, p, ((i, j),))
 
 
 def test_ties_resolve_to_lexicographically_first_witness():
@@ -150,6 +159,25 @@ def test_ties_across_chunks_resolve_to_first_pair():
     got = worst_interval_margin(cdf, np.tile(pa, reps), np.tile(pb, reps), amp,
                                 backend="numpy")
     assert got == (expected, ep, ((ei, ej),))
+
+
+def test_numpy_scan_memory_is_linear_in_pairs():
+    domain = OutputDomain(0.0, 1.0, 0.5)
+    budget = PrivacyBudget(1.0, 0.0)
+    mech = CalibratedMechanism(domain, budget, calibrate(domain, budget).b_star)
+    grid = np.linspace(0.0, 1.0, 200)
+    cdf = mech.cdf(grid[:, None], grid[None, :])
+    pa, pb = np.nonzero(np.abs(grid[:, None] - grid[None, :]) <= 0.5)
+    assert pa.size == 29_900
+    tracemalloc.start()
+    try:
+        worst_interval_margin(cdf, pa, pb, math.e, backend="numpy")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a few length-pairs vectors and one copy of the table; a pairs x grid
+    # matrix alone would take 47.8 MB
+    assert peak < 8e6
 
 
 @needs_numba

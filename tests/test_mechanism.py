@@ -16,7 +16,7 @@ from bounded_laplace import (
     normalizer_ratio,
     sample_truncated,
 )
-from helpers import laplace_mass_quadrature
+from helpers import laplace_mass_quadrature, reference_quantile
 
 
 UNIT = OutputDomain(0.0, 1.0, 0.5)
@@ -321,6 +321,39 @@ def test_quantile_cdf_roundtrip_property(lower, width, q_frac, b_frac, p):
     mech = CalibratedMechanism(domain, BUDGET, b_frac * width)
     q = min(lower + q_frac * width, domain.upper)
     assert mech.cdf(q, mech.quantile(q, p)) == pytest.approx(p, abs=1e-10)
+
+
+def test_quantile_bitwise_equal_to_reference_formula():
+    rng = np.random.default_rng(31)
+    domain = OutputDomain(-2.0, 3.0, 1.0)
+    edges_and_inside = np.array([domain.lower, 0.7, domain.upper])
+    for ratio in np.geomspace(1e-3, 1e3, 13):
+        mech = CalibratedMechanism(domain, BUDGET, ratio * domain.width)
+        cases = [(float(rng.uniform(domain.lower, domain.upper)), float(rng.random())),
+                 (edges_and_inside[:, None], rng.random(64)[None, :])]
+        for q in edges_and_inside:
+            cases += [(q, rng.random(100_000)), (q, np.array([0.0, 0.5, 1.0]))]
+        for q, p in cases:
+            got, want = mech.quantile(q, p), reference_quantile(mech, q, p)
+            assert type(got) is type(want)
+            assert np.array_equal(got, want)
+
+
+def test_sample_inverse_is_reference_quantile_of_its_uniforms():
+    mech = unit_mech(scale=0.45)
+    for size in (None, 100_000):
+        got = mech.sample_inverse(0.2, np.random.default_rng(7), size=size)
+        u = np.random.default_rng(7).random(1 if size is None else size)
+        assert np.all(u > 0.0)  # no zero redrawn: these are the uniforms used
+        want = reference_quantile(mech, 0.2, u)
+        if size is None:
+            assert type(got) is float and got == want[0]
+        else:
+            assert np.array_equal(got, want)
+    with pytest.raises(ValueError):
+        mech.sample_inverse(1.5, np.random.default_rng(7))
+    with pytest.raises(ValueError):
+        mech.sample_inverse(-0.1, np.random.default_rng(7), size=10)
 
 
 # ------------------------------------------------------------------ samplers

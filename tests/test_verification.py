@@ -289,6 +289,20 @@ def test_run_all_checks_passes_when_calibrated():
     ]
 
 
+def test_run_all_checks_on_domain_far_from_zero():
+    # lower + sensitivity rounds at the scale of |lower| (about 10), far
+    # coarser than the width's ulp, so the worst-case pair sits a few width
+    # ulps more than one sensitivity apart
+    domain = OutputDomain(-9.993759296579928, -9.784134590603939, 0.1048123529879943)
+    budget = PrivacyBudget(0.6751111394352484, 0.0)
+    q, q_prime = domain.worst_case_pair()
+    assert abs(q - q_prime) > domain.sensitivity + 8.0 * np.spacing(domain.width)
+    report = run_all_checks(domain, budget, config=FAST,
+                            rng=np.random.default_rng(25), samples=200_000)
+    assert report.all_passed
+    assert report.checks[-1].name == "empirical_privacy"
+
+
 def test_run_all_checks_fails_on_baseline_scale():
     domain = OutputDomain(0.0, 1.0, 0.5)
     b0 = baseline_scale(domain, BUDGET)
