@@ -1,15 +1,11 @@
 #!/usr/bin/env python3
-"""Benchmark the privacy-scan kernel on each available backend.
+"""Benchmark the privacy-scan kernel.
 
-For every admissible query pair the scan finds the worst grid interval.  The
-numpy backend does it with a running minimum, streamed over the grid
-columns, so its work grows like (pairs x grid points) and its memory like
-pairs; the numba backend loops over every interval, so its work grows like
-(pairs x intervals).  This script times each available backend on the same
-inputs, checks that they agree, and reports the speedup when both are
-present.  Next to each time it reports the peak memory that ``tracemalloc``
-traced during one further call; numpy reports its buffers to it, numba's
-compiled code may not.  Run after `pip install -e .`:
+For every admissible query pair the scan finds the worst grid interval with
+a running minimum, streamed over the grid columns, so its work grows like
+(pairs x grid points) and its memory like pairs.  For each grid size this
+script prints the best time over a few calls and the peak memory that
+``tracemalloc`` traced during one further call.  Run after `pip install -e .`:
 
     python benchmarks/bench_margin_kernel.py --grids 60 100 160 200
 """
@@ -22,7 +18,7 @@ import tracemalloc
 import numpy as np
 
 from bounded_laplace import CalibratedMechanism, OutputDomain, PrivacyBudget, calibrate
-from bounded_laplace._kernels import available_backends, worst_interval_margin
+from bounded_laplace._kernels import worst_interval_margin
 
 
 def build_case(grid):
@@ -36,23 +32,21 @@ def build_case(grid):
     return cdf, pa, pb, math.exp(budget.epsilon)
 
 
-def best_time(backend, case, repeats):
-    cdf, pa, pb, amp = case
-    result = worst_interval_margin(cdf, pa, pb, amp, backend=backend)  # warm-up
+def best_time(case, repeats):
+    result = worst_interval_margin(*case)  # warm-up
     best = math.inf
     for _ in range(repeats):
         t0 = time.perf_counter()
-        got = worst_interval_margin(cdf, pa, pb, amp, backend=backend)
+        got = worst_interval_margin(*case)
         best = min(best, time.perf_counter() - t0)
         assert got == result
-    return best, result
+    return best
 
 
-def peak_traced_mb(backend, case):
-    cdf, pa, pb, amp = case
+def peak_traced_mb(case):
     tracemalloc.start()
     try:
-        worst_interval_margin(cdf, pa, pb, amp, backend=backend)
+        worst_interval_margin(*case)
         return tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
@@ -64,29 +58,13 @@ def main():
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
-    backends = available_backends()
-    print(f"available backends: {', '.join(backends)}")
-    header = f"{'grid':>6} {'pairs':>8} {'intervals':>10}"
-    for b in backends:
-        header += f" {b + ' [s]':>12} {b + ' [MB]':>12}"
-    if len(backends) == 2:
-        header += f" {'speedup':>9}"
-    print(header)
-
+    print(f"{'grid':>6} {'pairs':>8} {'intervals':>10} {'time [s]':>10} {'peak [MB]':>10}")
     for grid in args.grids:
         case = build_case(grid)
         n_pairs = case[1].size
         n_intervals = grid * (grid - 1) // 2
-        row = f"{grid:>6} {n_pairs:>8} {n_intervals:>10}"
-        times = {}
-        margins = {}
-        for backend in backends:
-            times[backend], margins[backend] = best_time(backend, case, args.repeats)
-            row += f" {times[backend]:>12.4f} {peak_traced_mb(backend, case):>12.1f}"
-        if len(backends) == 2:
-            row += f" {times['numpy'] / times['numba']:>8.1f}x"
-            assert margins["numba"] == margins["numpy"], "backends disagree"
-        print(row)
+        print(f"{grid:>6} {n_pairs:>8} {n_intervals:>10} "
+              f"{best_time(case, args.repeats):>10.4f} {peak_traced_mb(case):>10.1f}")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ samples the resulting distribution, and numerically certifies the privacy
 guarantee and the facts the search relies on.
 """
 
-from ._kernels import active_backend, available_backends
 from .calibration import (
     CalibrationReport,
     SweepCell,
@@ -64,8 +63,6 @@ __all__ = [
     "UnsatisfiableBudgetError",
     "VerificationReport",
     "achieved_epsilon",
-    "active_backend",
-    "available_backends",
     "baseline_scale",
     "calibrate",
     "check_fixed_point_properties",

@@ -95,7 +95,6 @@ def _cmd_verify(args) -> int:
         q_grid_size=args.q_grid,
         set_grid_size=args.set_grid,
         slack=args.slack,
-        two_intervals=args.two_intervals,
     )
     rng = _make_rng(args.seed) if args.samples else None
     report = run_all_checks(domain, budget, scale=scale, config=config,
@@ -197,8 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-grid", type=int, default=200, dest="q_grid")
     p.add_argument("--set-grid", type=int, default=200, dest="set_grid")
     p.add_argument("--slack", type=float, default=1e-9)
-    p.add_argument("--two-intervals", action="store_true", dest="two_intervals",
-                   help="also search unions of two disjoint intervals")
     p.add_argument("--samples", type=int, default=1_000_000,
                    help="empirical-check sample count (0 skips it)")
     p.add_argument("--bins", type=int, default=50)

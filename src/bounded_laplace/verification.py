@@ -8,9 +8,11 @@ calibration bracket, all by direct evaluation or central finite differences.
 A failing check is a report outcome, never an exception.
 
 Scope caveat: the privacy guarantee quantifies over all measurable output
-sets, while the grid check searches intervals (optionally unions of two) at
-finite resolution.  It is a sound falsifier: any witness it reports is a
-real violation, but a pass is strong evidence rather than a proof.
+sets, while the grid check searches single intervals at finite resolution.
+Single intervals lose nothing: the likelihood ratio of two queries is
+monotone in the output, so the worst set is an interval.  The grid check is
+a sound falsifier: any witness it reports is a real violation, but a pass is
+strong evidence rather than a proof.
 
 Checks are pure given their inputs; the empirical estimator takes its own
 random generator.
@@ -53,14 +55,13 @@ class PrivacyCheckConfig:
     """Grid resolution and tolerance for the brute-force privacy check.
 
     ``slack`` is the numeric tolerance added to delta when deciding
-    pass/fail.  ``two_intervals`` additionally searches unions of two
-    disjoint grid intervals.
+    pass/fail.  The output sets searched are the single intervals between
+    points of a ``set_grid_size`` grid over the domain.
     """
 
     q_grid_size: int = 200
     set_grid_size: int = 200
     slack: float = 1e-9
-    two_intervals: bool = False
 
     def __post_init__(self):
         if self.q_grid_size < 2 or self.set_grid_size < 2:
@@ -109,7 +110,20 @@ def _pair_tolerance(domain):
     return 8.0 * np.spacing(max(abs(domain.lower), abs(domain.upper), domain.width))
 
 
-def check_privacy_inequality(mech, config=None, backend=None) -> CheckResult:
+def _scan_grid(mech, config):
+    """Query grid ``qs``, set grid ``xs``, the table ``cdf[r, k] = F_{qs[r]}(xs[k])``
+    and the admissible pairs ``(pair_a, pair_b)`` of rows of the privacy scan."""
+    d = mech.domain
+    qs = np.linspace(d.lower, d.upper, config.q_grid_size)
+    xs = np.linspace(d.lower, d.upper, config.set_grid_size)
+    cdf = mech.cdf(qs[:, None], xs[None, :])
+    pair_a, pair_b = np.nonzero(
+        np.abs(qs[:, None] - qs[None, :]) <= d.sensitivity + _pair_tolerance(d)
+    )
+    return qs, xs, cdf, pair_a, pair_b
+
+
+def check_privacy_inequality(mech, config=None) -> CheckResult:
     """Brute-force the DP inequality over grids of query pairs and intervals.
 
     For every grid pair (q, q') within one sensitivity of each other and
@@ -119,17 +133,10 @@ def check_privacy_inequality(mech, config=None, backend=None) -> CheckResult:
     the point achieving it are recorded either way.
     """
     config = config or PrivacyCheckConfig()
-    d, budget = mech.domain, mech.budget
-    qs = np.linspace(d.lower, d.upper, config.q_grid_size)
-    xs = np.linspace(d.lower, d.upper, config.set_grid_size)
-    cdf = mech.cdf(qs[:, None], xs[None, :])
-    pair_a, pair_b = np.nonzero(
-        np.abs(qs[:, None] - qs[None, :]) <= d.sensitivity + _pair_tolerance(d)
-    )
+    budget = mech.budget
+    qs, xs, cdf, pair_a, pair_b = _scan_grid(mech, config)
     raw, pair_idx, intervals = worst_interval_margin(
-        cdf, pair_a, pair_b, math.exp(budget.epsilon),
-        backend=backend, two_intervals=config.two_intervals,
-    )
+        cdf, pair_a, pair_b, math.exp(budget.epsilon))
     margin = raw - budget.delta
     witness = {
         "q": float(qs[pair_a[pair_idx]]),
@@ -326,8 +333,7 @@ def empirical_privacy_estimate(mech, q, q_prime, samples: int = 1_000_000,
 
 
 def run_all_checks(domain, budget, scale=None, config=None, rng=None,
-                   samples: int = 1_000_000, bins: int = 50,
-                   backend=None) -> VerificationReport:
+                   samples: int = 1_000_000, bins: int = 50) -> VerificationReport:
     """Run the full check suite against one mechanism.
 
     ``scale=None`` calibrates first; passing the baseline scale instead is
@@ -339,7 +345,7 @@ def run_all_checks(domain, budget, scale=None, config=None, rng=None,
         scale = calibrate(domain, budget).b_star
     mech = CalibratedMechanism(domain, budget, scale)
     checks = [
-        check_privacy_inequality(mech, config, backend=backend),
+        check_privacy_inequality(mech, config),
         check_sufficient_condition(mech, slack=config.slack),
         check_ratio_monotonicity(domain, mech.scale),
         check_fixed_point_properties(domain, budget),

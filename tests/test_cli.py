@@ -277,3 +277,13 @@ def test_missing_required_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["calibrate", "--epsilon", "1"])
     assert info.value.code == 2
+
+
+def test_verify_two_intervals_flag_is_usage_error(capsys):
+    # single intervals are exact for this mechanism, so verify has no
+    # two-interval search to switch on
+    with pytest.raises(SystemExit) as info:
+        main(["verify", *BASE, "--sensitivity", "0.5", *VERIFY_FAST,
+              "--two-intervals"])
+    assert info.value.code == 2
+    assert "--two-intervals" in capsys.readouterr().err

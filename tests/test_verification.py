@@ -19,7 +19,9 @@ from bounded_laplace import (
     privacy_loss_log_ratio,
     run_all_checks,
 )
-from helpers import laplace_mass_quadrature, random_problem
+from bounded_laplace._kernels import worst_interval_margin
+from bounded_laplace.verification import _scan_grid
+from helpers import laplace_mass_quadrature, random_problem, two_interval_margin
 
 
 BUDGET = PrivacyBudget(1.0, 0.0)
@@ -80,15 +82,24 @@ def test_privacy_check_on_shifted_domain_with_delta():
     assert not check_privacy_inequality(base, FAST).passed
 
 
-def test_privacy_check_two_interval_mode():
-    domain = OutputDomain(0.0, 1.0, 0.5)
-    cfg = PrivacyCheckConfig(q_grid_size=60, set_grid_size=60, two_intervals=True)
-    assert check_privacy_inequality(calibrated(domain), cfg).passed
-    mech = CalibratedMechanism(domain, BUDGET, baseline_scale(domain, BUDGET))
-    single = check_privacy_inequality(
-        mech, PrivacyCheckConfig(60, 60)).worst_margin
-    double = check_privacy_inequality(mech, cfg).worst_margin
-    assert double >= single
+@pytest.mark.parametrize("domain, budget", [
+    (OutputDomain(0.0, 1.0, 0.1), BUDGET),
+    (OutputDomain(0.0, 1.0, 0.5), BUDGET),
+    (OutputDomain(0.0, 1.0, 0.9), BUDGET),
+    (OutputDomain(-4.0, -1.0, 1.2), PrivacyBudget(0.8, 0.05)),
+    (OutputDomain(-9.993759296579928, -9.784134590603939, 0.1048123529879943),
+     PrivacyBudget(0.6751111394352484, 0.0)),
+], ids=["0.1", "0.5", "0.9", "shifted_with_delta", "far_from_zero"])
+def test_single_intervals_suffice_for_privacy_scan(domain, budget):
+    # the likelihood ratio is monotone in the output, so no union of two
+    # disjoint intervals beats the best single one on the verifier's own grid
+    config = PrivacyCheckConfig(q_grid_size=60, set_grid_size=60)
+    for scale in (baseline_scale(domain, budget), calibrate(domain, budget).b_star):
+        mech = CalibratedMechanism(domain, budget, scale)
+        _, _, cdf, pa, pb = _scan_grid(mech, config)
+        amp = math.exp(budget.epsilon)
+        single = worst_interval_margin(cdf, pa, pb, amp)[0]
+        assert two_interval_margin(cdf, pa, pb, amp)[0] <= single + 1e-14
 
 
 def test_privacy_check_stable_under_grid_refinement():
