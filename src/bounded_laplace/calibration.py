@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import CalibrationInfeasibleError, ConvergenceError
-from .mechanism import OutputDomain, PrivacyBudget, _require_scale, normalizer_ratio
+from .mechanism import OutputDomain, PrivacyBudget, _log_ratio, _require_scale
 
 __all__ = [
     "CalibrationReport",
@@ -63,36 +63,17 @@ def baseline_scale(domain, budget) -> float:
     return domain.sensitivity / (budget.epsilon - math.log1p(-budget.delta))
 
 
-def _log_ratio_extended(domain, b):
-    """log(normalizer_ratio) with extended-precision intermediates.
-
-    Near the fixed point the operator divides by ``epsilon - log(ratio)``,
-    a small difference whose double-precision rounding would put a ~1e-12
-    floor under the achievable residual when the fixed point is far above
-    the domain width; 80-bit intermediates push that floor to the scale's
-    own ulp.  Exactly zero when the sensitivity spans the domain.
-    """
-    if domain.sensitivity == domain.width:
-        return np.longdouble(0.0)
-    lower = np.longdouble(domain.lower)
-    upper = np.longdouble(domain.upper)
-    scale = np.longdouble(b)
-    shifted = min(lower + np.longdouble(domain.sensitivity), upper)
-    c_shifted = -0.5 * (np.expm1(-(shifted - lower) / scale)
-                        + np.expm1(-(upper - shifted) / scale))
-    c_lower = -0.5 * np.expm1(-(upper - lower) / scale)
-    return np.log(c_shifted / c_lower)
-
-
 def fixed_point_operator(domain, budget, b) -> float:
     """Update map whose unique fixed point is the minimal private scale.
 
     Nonincreasing in b, and at least ``b0`` when evaluated at ``b0``.  The
     denominator is positive everywhere at or above ``b0``; the guard below
-    covers smaller scales, where the update can be undefined.
+    covers smaller scales, where the update can be undefined.  It divides by
+    ``epsilon - log(ratio)`` in long double, which keeps the residual at the
+    scale's own ulp even far above the domain width.
     """
     b = _require_scale(b)
-    log_ratio = _log_ratio_extended(domain, b)
+    log_ratio = _log_ratio(domain, b)
     if log_ratio == 0.0:
         # bitwise-identical to baseline_scale when the ratio term vanishes
         return domain.sensitivity / (budget.epsilon - math.log1p(-budget.delta))
@@ -112,15 +93,15 @@ def fixed_point_operator(domain, budget, b) -> float:
 def calibrate(domain, budget, tolerance: float = 1e-12, max_iterations: int = 200):
     """Find the minimal private scale by bisecting ``f(b) - b`` on ``[b0, f(b0)]``.
 
-    Bisection keeps halving until the bracket cannot shrink in double
-    precision (or ``max_iterations`` is hit), so the reported residual is
-    typically far below ``tolerance``; ``tolerance`` is the acceptance
-    threshold on ``|f(b_star) - b_star|`` below which the result counts as
-    converged.
+    Bisection halves the bracket until ``f(mid) = mid`` or ``lo`` and ``hi``
+    are adjacent doubles, and returns the end with the smaller residual
+    ``|f(b_star) - b_star|``.  Such a bracket counts as converged whatever
+    its residual: where ``b_star`` exceeds a few thousand, one ulp of it is
+    already above 1e-12.
 
     Raises:
-        ConvergenceError: if the residual still exceeds ``tolerance`` when
-            iteration stops; carries the last bracket.
+        ConvergenceError: if ``max_iterations`` runs out while the residual
+            still exceeds ``tolerance``; carries the last bracket.
     """
     if not tolerance > 0.0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
@@ -131,33 +112,21 @@ def calibrate(domain, budget, tolerance: float = 1e-12, max_iterations: int = 20
     # reported bracket is well ordered
     f_b0 = max(fixed_point_operator(domain, budget, b0), b0)
     lo, hi = b0, f_b0
-    if hi - lo <= np.spacing(b0) and abs(f_b0 - b0) <= tolerance:
-        # Sensitivity equals the width up to rounding: b0 is already the fixed point.
-        return CalibrationReport(
-            b0=b0,
-            f_b0=f_b0,
-            b_star=b0,
-            residual=abs(f_b0 - b0),
-            iterations=0,
-            effective_epsilon=budget.epsilon - math.log(normalizer_ratio(domain, b0)),
-        )
     g_lo = f_b0 - lo
     g_hi = fixed_point_operator(domain, budget, hi) - hi
     iterations = 0
-    while iterations < max_iterations:
+    while g_lo != 0.0 and iterations < max_iterations:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
-            break
+            break  # lo and hi are adjacent doubles
         g_mid = fixed_point_operator(domain, budget, mid) - mid
         if g_mid >= 0.0:
             lo, g_lo = mid, g_mid
         else:
             hi, g_hi = mid, g_mid
         iterations += 1
-        if g_mid == 0.0:
-            break
     b_star, residual = (lo, abs(g_lo)) if abs(g_lo) <= abs(g_hi) else (hi, abs(g_hi))
-    if residual > tolerance:
+    if iterations == max_iterations and residual > tolerance:
         raise ConvergenceError(
             f"bisection stopped after {iterations} iterations with residual "
             f"{residual:.3e} > tolerance {tolerance:.3e}; last bracket [{lo}, {hi}]",
@@ -171,7 +140,7 @@ def calibrate(domain, budget, tolerance: float = 1e-12, max_iterations: int = 20
         b_star=b_star,
         residual=residual,
         iterations=iterations,
-        effective_epsilon=budget.epsilon - math.log(normalizer_ratio(domain, b_star)),
+        effective_epsilon=budget.epsilon - float(_log_ratio(domain, b_star)),
     )
 
 
@@ -182,7 +151,7 @@ def achieved_epsilon(domain, b, delta: float = 0.0) -> float:
         raise ValueError(f"delta must lie in [0, 1), got {delta}")
     return (
         domain.sensitivity / b
-        + math.log(normalizer_ratio(domain, b))
+        + float(_log_ratio(domain, b))
         + math.log1p(-float(delta))
     )
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._kernels import worst_interval_margin
 from .calibration import baseline_scale, calibrate, fixed_point_operator
-from .mechanism import CalibratedMechanism, _require_scale, normalizer, normalizer_ratio
+from .mechanism import CalibratedMechanism, _normalizer, _require_scale, normalizer_ratio
 
 __all__ = [
     "PrivacyCheckConfig",
@@ -183,8 +183,8 @@ def privacy_loss_log_ratio(domain, b, q, z):
         raise ValueError("q + z must stay inside the domain")
     shifted = np.minimum(qa + za, domain.upper)
     out = (
-        np.log(normalizer(domain, shifted, b))
-        - np.log(normalizer(domain, qa, b))
+        np.log(_normalizer(domain, shifted, b))
+        - np.log(_normalizer(domain, qa, b))
         + za / b
     )
     return float(out) if np.ndim(out) == 0 else out

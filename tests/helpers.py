@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import integrate
 
@@ -35,6 +36,45 @@ def laplace_mass_quadrature(domain, q, b, lo, hi):
     return val
 
 
+def _mp_mass(q, b, lo, hi):
+    """Mass of an unbounded Laplace(q, b) on [lo, hi], in mpmath numbers."""
+    if hi <= q:
+        return (mpmath.exp((hi - q) / b) - mpmath.exp((lo - q) / b)) / 2
+    if lo >= q:
+        return (mpmath.exp(-(lo - q) / b) - mpmath.exp(-(hi - q) / b)) / 2
+    return _mp_mass(q, b, lo, q) + _mp_mass(q, b, q, hi)
+
+
+def mp_cdf(domain, q, b, x):
+    """Exact CDF of the bounded mechanism at double inputs, to 60 digits."""
+    with mpmath.workdps(60):
+        lo, hi, q, b = (mpmath.mpf(v) for v in (domain.lower, domain.upper, q, b))
+        x = min(max(mpmath.mpf(x), lo), hi)
+        return _mp_mass(q, b, lo, x) / _mp_mass(q, b, lo, hi)
+
+
+def mp_quantile(domain, q, b, p):
+    """Exact inverse of :func:`mp_cdf` in p, to 60 digits.
+
+    With C the in-domain mass, solves ``p C = mass(lower, x)`` on the branch
+    below q and ``(1 - p) C = mass(x, upper)`` above it.
+    """
+    with mpmath.workdps(60):
+        lo, hi, q, b, p = (mpmath.mpf(v) for v in (domain.lower, domain.upper, q, b, p))
+        c = _mp_mass(q, b, lo, hi)
+        if p * c <= _mp_mass(q, b, lo, q):
+            return q + b * mpmath.log(2 * p * c + mpmath.exp(-(q - lo) / b))
+        return q - b * mpmath.log(2 * (1 - p) * c + mpmath.exp(-(hi - q) / b))
+
+
+def mp_normalizer_ratio(domain, b):
+    """Exact ``C(lower + sensitivity) / C(lower)``, to 60 digits."""
+    with mpmath.workdps(60):
+        lo, hi, s, b = (mpmath.mpf(v) for v in
+                        (domain.lower, domain.upper, domain.sensitivity, b))
+        return _mp_mass(lo + s, b, lo, hi) / _mp_mass(lo, b, lo, hi)
+
+
 def damped_fixed_point(domain, budget, rel_tol=1e-14, max_steps=200_000):
     """Independent fixed-point oracle: damped iteration from the baseline scale.
 
@@ -57,21 +97,31 @@ def damped_fixed_point(domain, budget, rel_tol=1e-14, max_steps=200_000):
 
 
 def reference_quantile(mech, q, p):
-    """Oracle for ``CalibratedMechanism.quantile``: its formula as first
-    written, with a fresh temporary for every step."""
+    """Oracle for ``CalibratedMechanism.quantile``: its formula with a fresh
+    temporary for every step.
+
+    Below q it inverts the lower tail mass, ``x = lower + b log1p(2 p C
+    e^{(q-lower)/b})``, above q the mirror image from the upper edge; when
+    the width exceeds 700 scales both branches are anchored at q instead.
+    """
     qa = mech.domain.require_query(q)
     pa = np.asarray(p, dtype=float)
     if np.any(~np.isfinite(pa)) or np.any((pa < 0.0) | (pa > 1.0)):
         raise ValueError(f"probability must lie in [0, 1], got {p!r}")
     d, b = mech.domain, mech.scale
-    h_lo = 0.5 * np.exp(-(qa - d.lower) / b)
-    h_hi = 0.5 * np.exp(-(d.upper - qa) / b)
-    c = 1.0 - h_lo - h_hi
-    t = h_lo + pa * c
+    c = -0.5 * (np.expm1(-(qa - d.lower) / b) + np.expm1(-(d.upper - qa) / b))
+    a_lo = (qa - d.lower) / b
+    a_hi = (d.upper - qa) / b
     with np.errstate(divide="ignore"):
-        below = qa + b * np.log(2.0 * t)
-        above = qa - b * np.log(2.0 * (h_hi + (1.0 - pa) * c))
-    out = np.clip(np.where(t <= 0.5, below, above), d.lower, d.upper)
+        if d.width <= 700.0 * b:
+            below = d.lower + b * np.log1p(pa * (2.0 * c * np.exp(a_lo)))
+            above = d.upper + -b * np.log1p((1.0 - pa) * (2.0 * c * np.exp(a_hi)))
+        else:
+            below = qa + b * np.log(pa * (2.0 * c) + np.exp(-a_lo))
+            above = qa + -b * np.log((1.0 - pa) * (2.0 * c) + np.exp(-a_hi))
+    use_below = pa <= -0.5 * np.expm1(-a_lo) / c
+    out = np.clip(np.where(use_below, below, above), d.lower, d.upper)
+    out = np.where(pa == 0.0, d.lower, np.where(pa == 1.0, d.upper, out))
     return float(out) if out.ndim == 0 else out
 
 

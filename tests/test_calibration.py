@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bounded_laplace import (
     CalibrationInfeasibleError,
@@ -158,6 +160,26 @@ def test_calibrate_convergence_error_carries_bracket():
     assert lo <= hi
     assert err.residual > 1e-12
     assert err.iterations == 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    log_eps=st.floats(-8.0, 1.0),
+    log_frac=st.floats(-6.0, 0.0),
+    lower=st.floats(-10.0, 10.0),
+    width=st.floats(0.1, 10.0),
+)
+def test_calibrate_converges_for_small_epsilon(log_eps, log_frac, lower, width):
+    # b_star ~ sensitivity / epsilon reaches 1e8 here, where one ulp of it
+    # exceeds the 1e-12 tolerance: a bracket of adjacent doubles converges
+    upper = lower + width
+    domain = OutputDomain(lower, upper, (upper - lower) * 10.0 ** log_frac)
+    budget = PrivacyBudget(10.0 ** log_eps, 0.0)
+    report = calibrate(domain, budget)
+    assert report.b0 <= report.b_star <= report.f_b0
+    assert report.residual <= max(1e-12, 4.0 * np.spacing(report.b_star))
+    assert report.residual == abs(
+        fixed_point_operator(domain, budget, report.b_star) - report.b_star)
 
 
 def test_calibrate_rejects_bad_controls():

@@ -270,6 +270,12 @@ def test_quantile_endpoints_and_median():
     assert mech.quantile(0.3, 0.0) == 0.0
     assert mech.quantile(0.3, 1.0) == 1.0
     assert mech.quantile(0.5, 0.5) == pytest.approx(0.5, abs=1e-15)
+    # exactly the edges at every query, also for scales far below the width
+    qs = np.linspace(0.0, 1.0, 37)
+    for b in np.geomspace(1e-6, 10.0, 36):
+        mech = unit_mech(scale=b)
+        assert np.all(mech.quantile(qs, 0.0) == 0.0)
+        assert np.all(mech.quantile(qs, 1.0) == 1.0)
 
 
 def test_quantile_rejects_out_of_range_p():
