@@ -99,11 +99,20 @@ class OutputDomain:
         return self.upper - self.lower
 
     def require_query(self, q):
-        """Validate that q (scalar or array) lies inside the domain."""
+        """Validate that q (scalar or array) lies inside the domain.
+
+        Returns ``q`` as a float array; a scalar becomes a 0-d array.
+        """
         qa = np.asarray(q, dtype=float)
-        if not np.all(np.isfinite(qa)):
+        if qa.ndim == 0:  # plain float tests: np.all/np.any cost ~15 µs a call
+            x = float(qa)
+            finite, inside = math.isfinite(x), self.lower <= x <= self.upper
+        else:
+            finite = np.all(np.isfinite(qa))
+            inside = not (np.any(qa < self.lower) or np.any(qa > self.upper))
+        if not finite:
             raise ValueError(f"query value must be finite, got {q!r}")
-        if np.any(qa < self.lower) or np.any(qa > self.upper):
+        if not inside:
             raise ValueError(
                 f"query value {q!r} outside the output domain [{self.lower}, {self.upper}]"
             )

@@ -48,6 +48,10 @@ FD_STEP = 1e-6
 FD_SLACK = 1e-8
 # Absolute slack allowed on the empirical max log-ratio estimate.
 EMPIRICAL_SLACK = 0.05
+# Draws histogrammed at a time by the empirical estimate: numpy's own
+# histogram block size.  A block of float64 draws is 512 KB, so it stays in
+# cache and the estimate's memory does not grow with the sample count.
+EMPIRICAL_BLOCK = 65_536
 
 
 @dataclass(frozen=True)
@@ -294,6 +298,16 @@ class EmpiricalEstimate:
     witness_bin: tuple | None
 
 
+def _sampled_counts(mech, q, rng, samples, edges):
+    """Histogram over ``edges`` of ``samples`` inverse-transform draws at q,
+    drawn and counted ``EMPIRICAL_BLOCK`` at a time."""
+    counts = np.zeros(edges.size - 1, dtype=np.intp)
+    for start in range(0, samples, EMPIRICAL_BLOCK):
+        size = min(EMPIRICAL_BLOCK, samples - start)
+        counts += np.histogram(mech.sample_inverse(q, rng, size=size), edges)[0]
+    return counts
+
+
 def empirical_privacy_estimate(mech, q, q_prime, samples: int = 1_000_000,
                                bins: int = 50, rng=None,
                                floor: int = 10) -> EmpiricalEstimate:
@@ -303,6 +317,12 @@ def empirical_privacy_estimate(mech, q, q_prime, samples: int = 1_000_000,
     domain, and returns the max over bins of log(freq_q / freq_q') among
     bins where both counts reach ``floor``.  For a private mechanism the
     estimate should not exceed epsilon by more than sampling noise.
+
+    The draws stream through the histogram in blocks of ``EMPIRICAL_BLOCK``,
+    so working memory is O(block + bins) whatever ``samples`` is.  The blocks
+    continue one generator stream, so the counts equal those of drawing all
+    samples at once (unless the generator returns an exact 0.0, whose redraw
+    then comes from a later stream position).
     """
     d = mech.domain
     q = float(d.require_query(q))
@@ -314,8 +334,8 @@ def empirical_privacy_estimate(mech, q, q_prime, samples: int = 1_000_000,
     if rng is None:
         rng = np.random.default_rng()
     edges = np.linspace(d.lower, d.upper, bins + 1)
-    count_q = np.histogram(mech.sample_inverse(q, rng, size=samples), edges)[0]
-    count_p = np.histogram(mech.sample_inverse(q_prime, rng, size=samples), edges)[0]
+    count_q = _sampled_counts(mech, q, rng, samples, edges)
+    count_p = _sampled_counts(mech, q_prime, rng, samples, edges)
     used = (count_q >= floor) & (count_p >= floor)
     if not used.any():
         return EmpiricalEstimate(math.nan, False, 0, None)

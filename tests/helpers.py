@@ -37,11 +37,17 @@ def laplace_mass_quadrature(domain, q, b, lo, hi):
 
 
 def _mp_mass(q, b, lo, hi):
-    """Mass of an unbounded Laplace(q, b) on [lo, hi], in mpmath numbers."""
+    """Mass of an unbounded Laplace(q, b) on [lo, hi], in mpmath numbers.
+
+    A one-sided mass is ``e^{-(distance to the nearer end)/b} (1 - e^{-(hi-lo)/b}) / 2``;
+    taking ``1 - e^{-(hi-lo)/b}`` through expm1 keeps all working digits
+    however narrow [lo, hi] is, where a difference of two exponentials
+    loses one digit per decade of ``(hi - lo) / b`` below 1.
+    """
     if hi <= q:
-        return (mpmath.exp((hi - q) / b) - mpmath.exp((lo - q) / b)) / 2
+        return -mpmath.exp((hi - q) / b) * mpmath.expm1(-(hi - lo) / b) / 2
     if lo >= q:
-        return (mpmath.exp(-(lo - q) / b) - mpmath.exp(-(hi - q) / b)) / 2
+        return -mpmath.exp(-(lo - q) / b) * mpmath.expm1(-(hi - lo) / b) / 2
     return _mp_mass(q, b, lo, q) + _mp_mass(q, b, q, hi)
 
 
@@ -123,6 +129,14 @@ def reference_quantile(mech, q, p):
     out = np.clip(np.where(use_below, below, above), d.lower, d.upper)
     out = np.where(pa == 0.0, d.lower, np.where(pa == 1.0, d.upper, out))
     return float(out) if out.ndim == 0 else out
+
+
+def reference_empirical_counts(mech, q, q_prime, rng, samples, edges):
+    """Oracle for the empirical estimate's bin counts: all ``samples`` draws
+    for q, then all for q', each drawn and histogrammed at once."""
+    count_q = np.histogram(mech.sample_inverse(q, rng, size=samples), edges)[0]
+    count_p = np.histogram(mech.sample_inverse(q_prime, rng, size=samples), edges)[0]
+    return count_q, count_p
 
 
 def two_interval_margin(cdf, pair_a, pair_b, amp):

@@ -94,6 +94,29 @@ def test_query_at_boundary_allowed():
     assert normalizer(UNIT, 1.0, 1.0) > 0.0
 
 
+@pytest.mark.parametrize("domain", [
+    UNIT, OutputDomain(-9.993759296579928, -9.784134590603939, 0.1048123529879943)])
+def test_require_query_scalar_verdicts_and_messages(domain):
+    lo, hi = domain.lower, domain.upper
+    not_finite = "query value must be finite, got {!r}"
+    outside = f"query value {{!r}} outside the output domain [{lo}, {hi}]"
+    cases = [(math.nan, not_finite), (math.inf, not_finite), (-math.inf, not_finite),
+             (math.nextafter(lo, -math.inf), outside),
+             (math.nextafter(hi, math.inf), outside),
+             (lo, None), (hi, None), (math.nextafter(lo, hi), None)]
+    for x, message in cases:
+        # the scalar forms, and a one-element array on the array path
+        for q in (x, np.float64(x), np.asarray(x), np.array([x])):
+            if message is None:
+                qa = domain.require_query(q)
+                assert qa.dtype == np.float64 and qa.shape == np.shape(q)
+                assert np.array_equal(qa, q)
+            else:
+                with pytest.raises(ValueError) as info:
+                    domain.require_query(q)
+                assert str(info.value) == message.format(q)
+
+
 def test_mechanism_rejects_bad_scale():
     with pytest.raises(ValueError):
         CalibratedMechanism(UNIT, BUDGET, 0.0)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,13 +20,24 @@ from bounded_laplace import (
     privacy_loss_log_ratio,
     run_all_checks,
 )
+from bounded_laplace import verification
 from bounded_laplace._kernels import worst_interval_margin
-from bounded_laplace.verification import _scan_grid
-from helpers import laplace_mass_quadrature, random_problem, two_interval_margin
+from bounded_laplace.verification import _sampled_counts, _scan_grid
+from helpers import (
+    laplace_mass_quadrature,
+    random_problem,
+    reference_empirical_counts,
+    two_interval_margin,
+)
 
 
 BUDGET = PrivacyBudget(1.0, 0.0)
 FAST = PrivacyCheckConfig(q_grid_size=80, set_grid_size=80)
+# lower + sensitivity rounds at the scale of |lower| (about 10), far coarser
+# than the width's ulp, so the worst-case pair sits a few width ulps more
+# than one sensitivity apart
+FAR_DOMAIN = OutputDomain(-9.993759296579928, -9.784134590603939, 0.1048123529879943)
+FAR_BUDGET = PrivacyBudget(0.6751111394352484, 0.0)
 
 
 def calibrated(domain, budget=BUDGET):
@@ -292,6 +304,50 @@ def test_empirical_estimate_rejects_distant_pair():
                                    rng=np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("domain, budget", [
+    (OutputDomain(0.0, 1.0, 0.5), BUDGET), (FAR_DOMAIN, FAR_BUDGET)])
+@pytest.mark.parametrize("samples", [1, 65_535, 65_536, 65_537, 200_003])
+def test_empirical_estimate_blocks_match_one_shot_draws(domain, budget, samples,
+                                                        monkeypatch):
+    mech = calibrated(domain, budget)
+    q, q_prime = domain.worst_case_pair()
+    edges = np.linspace(domain.lower, domain.upper, 51)
+    want = reference_empirical_counts(mech, q, q_prime, np.random.default_rng(5),
+                                      samples, edges)
+    rng = np.random.default_rng(5)
+    got = (_sampled_counts(mech, q, rng, samples, edges),
+           _sampled_counts(mech, q_prime, rng, samples, edges))
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert int(want[0].sum()) == samples
+
+    est = empirical_privacy_estimate(mech, q, q_prime, samples=samples,
+                                     rng=np.random.default_rng(5))
+    # the same estimate, computed from the one-shot counts
+    replay = iter(want)
+    monkeypatch.setattr(verification, "_sampled_counts", lambda *args: next(replay))
+    ref = empirical_privacy_estimate(mech, q, q_prime, samples=samples,
+                                     rng=np.random.default_rng(5))
+    assert repr(est) == repr(ref)  # repr: NaN estimates compare equal too
+
+
+def test_empirical_estimate_memory_does_not_grow_with_samples():
+    mech = calibrated(OutputDomain(0.0, 1.0, 0.5))
+    q, q_prime = mech.domain.worst_case_pair()
+    empirical_privacy_estimate(mech, q, q_prime, samples=1_000,
+                               rng=np.random.default_rng(0))  # warm-up
+    for samples in (1_000_000, 4_000_000):
+        rng = np.random.default_rng(9)
+        tracemalloc.start()
+        try:
+            empirical_privacy_estimate(mech, q, q_prime, samples=samples, rng=rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # drawing everything at once peaks at 26 MB per 1e6 samples
+        assert peak < 4_000_000, (samples, peak)
+
+
 # ------------------------------------------------------------------ full run
 
 
@@ -310,14 +366,9 @@ def test_run_all_checks_passes_when_calibrated():
 
 
 def test_run_all_checks_on_domain_far_from_zero():
-    # lower + sensitivity rounds at the scale of |lower| (about 10), far
-    # coarser than the width's ulp, so the worst-case pair sits a few width
-    # ulps more than one sensitivity apart
-    domain = OutputDomain(-9.993759296579928, -9.784134590603939, 0.1048123529879943)
-    budget = PrivacyBudget(0.6751111394352484, 0.0)
-    q, q_prime = domain.worst_case_pair()
-    assert abs(q - q_prime) > domain.sensitivity + 8.0 * np.spacing(domain.width)
-    report = run_all_checks(domain, budget, config=FAST,
+    q, q_prime = FAR_DOMAIN.worst_case_pair()
+    assert abs(q - q_prime) > FAR_DOMAIN.sensitivity + 8.0 * np.spacing(FAR_DOMAIN.width)
+    report = run_all_checks(FAR_DOMAIN, FAR_BUDGET, config=FAST,
                             rng=np.random.default_rng(25), samples=200_000)
     assert report.all_passed
     assert report.checks[-1].name == "empirical_privacy"
