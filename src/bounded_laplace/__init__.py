@@ -21,7 +21,6 @@ from .calibration import (
 from .errors import (
     BoundedLaplaceError,
     CalibrationInfeasibleError,
-    ConvergenceError,
     UnsatisfiableBudgetError,
 )
 from .mechanism import (
@@ -54,7 +53,6 @@ __all__ = [
     "CalibrationInfeasibleError",
     "CalibrationReport",
     "CheckResult",
-    "ConvergenceError",
     "EmpiricalEstimate",
     "OutputDomain",
     "PrivacyBudget",

@@ -1,9 +1,9 @@
 """Command-line front end: calibrate, sample, verify, sweep.
 
-Exit codes: 0 on success, 1 on a checked failure (non-convergence or a
-failing verification), 2 on usage errors.  Output is a pure function of the
-flags plus the seed; when no seed is given one is drawn from system entropy
-and echoed on stderr so the run can be reproduced.
+Exit codes: 0 on success, 1 on a failing verification or a sweep with NA
+cells, 2 on usage errors and invalid or infeasible inputs.  Output is a pure
+function of the flags plus the seed; when no seed is given one is drawn from
+system entropy and echoed on stderr so the run can be reproduced.
 """
 
 import argparse
@@ -15,7 +15,6 @@ import sys
 import numpy as np
 
 from .calibration import calibrate, epsilon_ratio_grid
-from .errors import ConvergenceError
 from .mechanism import CalibratedMechanism, OutputDomain, PrivacyBudget, sample_truncated
 from .verification import PrivacyCheckConfig, run_all_checks
 
@@ -44,8 +43,7 @@ def _csv_writer():
 
 def _cmd_calibrate(args) -> int:
     domain, budget = _domain_budget(args)
-    report = calibrate(domain, budget, tolerance=args.tol,
-                       max_iterations=args.max_iter)
+    report = calibrate(domain, budget)
     fields = ["b0", "f_b0", "b_star", "residual", "iterations", "effective_epsilon"]
     values = report.to_dict()
     if args.format == "json":
@@ -127,8 +125,7 @@ def _cmd_sweep(args) -> int:
         sensitivities[-1] = dq_max
     epsilons = np.logspace(math.log10(args.eps_min), math.log10(args.eps_max),
                            args.eps_steps)
-    cells = epsilon_ratio_grid(args.width, sensitivities, epsilons,
-                               tolerance=args.tol, max_iterations=args.max_iter)
+    cells = epsilon_ratio_grid(args.width, sensitivities, epsilons)
     w = _csv_writer()
     w.writerow(["sensitivity", "epsilon", "b_star", "effective_epsilon", "ratio"])
     failed = False
@@ -162,20 +159,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format_flag(p):
         p.add_argument("--format", choices=["text", "json", "csv"], default="text")
 
-    def add_calibration_flags(p):
-        p.add_argument("--tol", type=float, default=1e-12,
-                       help="acceptance tolerance on |f(b) - b|")
-        p.add_argument("--max-iter", type=int, default=200, dest="max_iter")
-
     p = sub.add_parser("calibrate", help="solve for the minimal private scale")
     add_problem_flags(p)
-    add_calibration_flags(p)
     add_format_flag(p)
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("sample", help="draw noisy releases of a query answer")
     add_problem_flags(p)
-    add_calibration_flags(p)
     add_format_flag(p)
     p.add_argument("--q", type=float, required=True, help="true query answer")
     p.add_argument("--n", type=int, default=1, help="number of samples")
@@ -188,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the numerical check suite")
     add_problem_flags(p)
-    add_calibration_flags(p)
     add_format_flag(p)
     p.add_argument("--b", type=float, default=None,
                    help="scale override (default: calibrate); pass the "
@@ -203,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sweep", help="budget-inflation grid as CSV")
-    add_calibration_flags(p)
     p.add_argument("--width", type=float, default=1.0, help="domain width (lower=0)")
     p.add_argument("--dq-min", type=float, default=1e-3, dest="dq_min")
     p.add_argument("--dq-max", type=float, default=None, dest="dq_max",
@@ -221,9 +209,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+``calibrate`` has no iteration cap, so no error type reports non-convergence.
+"""
 
 
 class BoundedLaplaceError(Exception):
@@ -12,12 +15,3 @@ class UnsatisfiableBudgetError(BoundedLaplaceError, ValueError):
 class CalibrationInfeasibleError(BoundedLaplaceError, ArithmeticError):
     """The fixed-point update is undefined at the requested scale."""
 
-
-class ConvergenceError(BoundedLaplaceError, RuntimeError):
-    """Bisection stopped before meeting the requested tolerance."""
-
-    def __init__(self, message, bracket=None, residual=None, iterations=None):
-        super().__init__(message)
-        self.bracket = bracket
-        self.residual = residual
-        self.iterations = iterations

@@ -6,7 +6,15 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
-from bounded_laplace import OutputDomain, PrivacyBudget, fixed_point_operator, baseline_scale
+from bounded_laplace import (
+    CalibrationInfeasibleError,
+    CalibrationReport,
+    OutputDomain,
+    PrivacyBudget,
+    baseline_scale,
+    fixed_point_operator,
+)
+from bounded_laplace.mechanism import _log_ratio, _require_scale
 
 
 def random_problem(rng, span_fraction=None, eps_range=(1e-2, 10.0), delta_max=0.5):
@@ -100,6 +108,67 @@ def damped_fixed_point(domain, budget, rel_tol=1e-14, max_steps=200_000):
         prev = res
         b = b + lam * (fb - b)
     raise AssertionError("damped fixed-point iteration did not converge")
+
+
+def reference_fixed_point_operator(domain, budget, b):
+    """Oracle for ``fixed_point_operator``: the update map as it stood with
+    the baseline expression written out in its zero-ratio branch."""
+    b = _require_scale(b)
+    log_ratio = _log_ratio(domain, b)
+    if log_ratio == 0.0:
+        return domain.sensitivity / (budget.epsilon - math.log1p(-budget.delta))
+    gap = (
+        np.longdouble(budget.epsilon)
+        - log_ratio
+        - np.log1p(np.longdouble(-budget.delta))
+    )
+    if gap <= 0.0:
+        raise CalibrationInfeasibleError(
+            f"fixed-point update undefined at scale {b}: exponent budget "
+            f"{float(gap)} <= 0"
+        )
+    return float(np.longdouble(domain.sensitivity) / gap)
+
+
+def reference_calibrate(domain, budget, tolerance=1e-12, max_iterations=200):
+    """Oracle for ``calibrate``: the bisection as it stood with a tolerance
+    and an iteration cap, which raised when the cap ran out above the
+    tolerance.  ``calibrate`` must match it bitwise wherever it returns."""
+    if not tolerance > 0.0:
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if max_iterations < 1:
+        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
+    f = reference_fixed_point_operator
+    b0 = baseline_scale(domain, budget)
+    f_b0 = max(f(domain, budget, b0), b0)
+    lo, hi = b0, f_b0
+    g_lo = f_b0 - lo
+    g_hi = f(domain, budget, hi) - hi
+    iterations = 0
+    while g_lo != 0.0 and iterations < max_iterations:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        g_mid = f(domain, budget, mid) - mid
+        if g_mid >= 0.0:
+            lo, g_lo = mid, g_mid
+        else:
+            hi, g_hi = mid, g_mid
+        iterations += 1
+    b_star, residual = (lo, abs(g_lo)) if abs(g_lo) <= abs(g_hi) else (hi, abs(g_hi))
+    if iterations == max_iterations and residual > tolerance:
+        raise AssertionError(
+            f"bisection stopped after {iterations} iterations with residual "
+            f"{residual:.3e} > tolerance {tolerance:.3e}; last bracket [{lo}, {hi}]"
+        )
+    return CalibrationReport(
+        b0=b0,
+        f_b0=f_b0,
+        b_star=b_star,
+        residual=residual,
+        iterations=iterations,
+        effective_epsilon=budget.epsilon - float(_log_ratio(domain, b_star)),
+    )
 
 
 def reference_quantile(mech, q, p):

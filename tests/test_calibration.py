@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from bounded_laplace import (
     CalibrationInfeasibleError,
-    ConvergenceError,
     OutputDomain,
     PrivacyBudget,
     UnsatisfiableBudgetError,
@@ -19,7 +19,12 @@ from bounded_laplace import (
     fixed_point_operator,
     normalizer_ratio,
 )
-from helpers import damped_fixed_point, laplace_mass_quadrature, random_problem
+from helpers import (
+    damped_fixed_point,
+    laplace_mass_quadrature,
+    random_problem,
+    reference_calibrate,
+)
 
 
 UNIT_HALF = OutputDomain(0.0, 1.0, 0.5)
@@ -150,18 +155,6 @@ def test_calibrated_scale_is_a_lower_bound():
                 domain, budget, report.b_star + xi)
 
 
-def test_calibrate_convergence_error_carries_bracket():
-    with pytest.raises(ConvergenceError) as info:
-        calibrate(UNIT_HALF, PrivacyBudget(1.0, 0.0), tolerance=1e-12,
-                  max_iterations=3)
-    err = info.value
-    assert err.bracket is not None
-    lo, hi = err.bracket
-    assert lo <= hi
-    assert err.residual > 1e-12
-    assert err.iterations == 3
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     log_eps=st.floats(-8.0, 1.0),
@@ -171,7 +164,7 @@ def test_calibrate_convergence_error_carries_bracket():
 )
 def test_calibrate_converges_for_small_epsilon(log_eps, log_frac, lower, width):
     # b_star ~ sensitivity / epsilon reaches 1e8 here, where one ulp of it
-    # exceeds the 1e-12 tolerance: a bracket of adjacent doubles converges
+    # exceeds 1e-12: the bisection ends at a bracket of adjacent doubles
     upper = lower + width
     domain = OutputDomain(lower, upper, (upper - lower) * 10.0 ** log_frac)
     budget = PrivacyBudget(10.0 ** log_eps, 0.0)
@@ -182,11 +175,55 @@ def test_calibrate_converges_for_small_epsilon(log_eps, log_frac, lower, width):
         fixed_point_operator(domain, budget, report.b_star) - report.b_star)
 
 
-def test_calibrate_rejects_bad_controls():
-    with pytest.raises(ValueError):
-        calibrate(UNIT_HALF, PrivacyBudget(1.0, 0.0), tolerance=0.0)
-    with pytest.raises(ValueError):
-        calibrate(UNIT_HALF, PrivacyBudget(1.0, 0.0), max_iterations=0)
+def _oracle_problems():
+    sens, eps = default_sweep_grid()
+    for dq, e in itertools.product(sens, eps):
+        yield OutputDomain(0.0, 1.0, float(dq)), PrivacyBudget(float(e), 0.0)
+    rng = np.random.default_rng(2024)
+    for k in range(600):
+        domain, budget = random_problem(rng, eps_range=(1e-6, 1e3), delta_max=0.99)
+        if k % 2:  # the same shape far from 0
+            lower, upper = domain.lower + 1e6, domain.upper + 1e6
+            domain = OutputDomain(lower, upper, min(domain.sensitivity, upper - lower))
+        yield domain, budget
+
+
+def test_calibrate_bitwise_equal_to_capped_reference():
+    # without its tolerance and cap the bisection takes the same steps
+    # wherever the capped version returned
+    checked = with_delta = 0
+    for domain, budget in _oracle_problems():
+        got, want = calibrate(domain, budget), reference_calibrate(domain, budget)
+        for field in ("b0", "f_b0", "b_star", "residual", "iterations",
+                      "effective_epsilon"):
+            assert getattr(got, field) == getattr(want, field), (domain, budget, field)
+        checked += 1
+        with_delta += budget.delta > 0.0
+    assert checked == 3100 and with_delta >= 500
+
+
+EXTREME_CORNERS = list(itertools.product(
+    (1e-100, 1e-30, 1e-12, 1.0, 1e3),            # epsilon
+    (1e-100, 1e-9, 0.5, 1.0),                    # sensitivity / width
+    (0.0, 1e-300, 0.5, 1.0 - 1e-16),             # delta
+    (0.0, 1e6),                                  # lower
+))
+
+
+@pytest.mark.parametrize("eps,frac,delta,lower", EXTREME_CORNERS)
+def test_calibrate_terminates_within_bound(eps, frac, delta, lower):
+    domain = OutputDomain(lower, lower + 1.0, frac)
+    budget = PrivacyBudget(eps, delta)
+    if eps == frac == 1e-100 and delta == 0.0:
+        # the long-double budget eps - log R(b0) is of order frac**2 and
+        # rounds to <= 0
+        with pytest.raises(CalibrationInfeasibleError):
+            calibrate(domain, budget)
+        return
+    report = calibrate(domain, budget)
+    assert report.b0 <= report.b_star <= report.f_b0
+    assert report.iterations <= 55 + math.log2(report.f_b0 / report.b0)
+    assert report.residual <= np.spacing(report.b_star)  # the bracket closed
 
 
 def test_calibrate_with_delta():

@@ -62,13 +62,6 @@ def test_calibrate_rejects_zero_budget(capsys):
     assert "epsilon and delta cannot both be zero" in err
 
 
-def test_calibrate_convergence_failure_exits_one(capsys):
-    code, _, err = run_cli(
-        ["calibrate", *BASE, "--sensitivity", "0.5", "--max-iter", "2"], capsys)
-    assert code == 1
-    assert "bracket" in err
-
-
 def test_calibrate_rejects_oversized_sensitivity(capsys):
     code, _, err = run_cli(["calibrate", *BASE, "--sensitivity", "2"], capsys)
     assert code == 2
@@ -287,3 +280,24 @@ def test_verify_two_intervals_flag_is_usage_error(capsys):
               "--two-intervals"])
     assert info.value.code == 2
     assert "--two-intervals" in capsys.readouterr().err
+
+
+SUBCOMMAND_ARGV = {
+    "calibrate": ["calibrate", *BASE, "--sensitivity", "0.5"],
+    "sample": ["sample", *BASE, "--sensitivity", "0.5", "--q", "0.2", "--seed", "1"],
+    "verify": ["verify", *BASE, "--sensitivity", "0.5", *VERIFY_FAST],
+    "sweep": ["sweep", "--dq-steps", "2", "--eps-steps", "2"],
+}
+
+
+@pytest.mark.parametrize("flag", [["--tol", "1e-12"], ["--max-iter", "200"]])
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGV))
+def test_bisection_controls_are_usage_errors(command, flag, capsys):
+    # calibrate's bisection stops on its own, so no subcommand takes a
+    # tolerance or an iteration cap
+    with pytest.raises(SystemExit) as info:
+        main([*SUBCOMMAND_ARGV[command], *flag])
+    assert info.value.code == 2
+    cap = capsys.readouterr()
+    assert cap.out == ""
+    assert flag[0] in cap.err
