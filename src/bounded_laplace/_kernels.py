@@ -49,17 +49,19 @@ def _single_margin_numpy(cdf, pair_a, pair_b, amp):
     # one scratch: ``d`` (this column), ``low`` = min(d[:j]) and ``best`` =
     # the best d[j] - low so far.  min and max are exact, so each gain is the
     # float subtraction of the same two entries as in the quadratic scan.
+    # ``scaled`` multiplies each CDF entry by ``amp`` once, not once per pair
+    # that gathers it; the product of the same two doubles is the same.
     cols = np.ascontiguousarray(cdf.T)
+    scaled = amp * cols
     d = np.empty(pair_a.size)
     tmp = np.empty(pair_a.size)
-    low = cols[0, pair_a] - amp * cols[0, pair_b]
+    low = cols[0, pair_a] - scaled[0, pair_b]
     best = np.full(pair_a.size, -np.inf)
-    for col in cols[1:]:
+    for col, col_scaled in zip(cols[1:], scaled[1:]):
         # indices were range-checked by the caller; mode="clip" lets take
         # write straight into ``out`` instead of buffering
         np.take(col, pair_a, out=d, mode="clip")
-        np.multiply(np.take(col, pair_b, out=tmp, mode="clip"), amp, out=tmp)
-        np.subtract(d, tmp, out=d)
+        np.subtract(d, np.take(col_scaled, pair_b, out=tmp, mode="clip"), out=d)
         np.maximum(best, np.subtract(d, low, out=tmp), out=best)
         np.minimum(low, d, out=low)
     # argmax takes the first pair attaining the maximum

@@ -117,6 +117,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.dq_steps < 1 or args.eps_steps < 1:
+        raise ValueError("--dq-steps and --eps-steps must be at least 1")
     dq_max = args.dq_max if args.dq_max is not None else args.width
     sensitivities = np.logspace(math.log10(args.dq_min), math.log10(dq_max),
                                 args.dq_steps)

@@ -307,14 +307,21 @@ class CalibratedMechanism:
         n = _sample_count(size)
         d, b = self.domain, self.scale
         values = np.empty(n)
-        draws = np.zeros(n, dtype=np.int64)
+        draws = np.empty(n, dtype=np.int64)
         pending = np.arange(n)
+        rounds = 0
         while pending.size:
+            # every pending sample draws once a round, so its draw count is
+            # the round that accepts it
+            rounds += 1
             x = rng.laplace(qa, b, size=pending.size)
-            draws[pending] += 1
             ok = (x >= d.lower) & (x <= d.upper)
-            values[pending[ok]] = x[ok]
-            pending = pending[~ok]
+            accepted = np.flatnonzero(ok)
+            if accepted.size:  # a round that accepts nothing changes nothing
+                done = pending[accepted]
+                values[done] = x[accepted]
+                draws[done] = rounds
+                pending = pending[~ok]
         if size is None:
             return float(values[0]), int(draws[0])
         return values, draws

@@ -48,9 +48,9 @@ FD_STEP = 1e-6
 FD_SLACK = 1e-8
 # Absolute slack allowed on the empirical max log-ratio estimate.
 EMPIRICAL_SLACK = 0.05
-# Draws histogrammed at a time by the empirical estimate: numpy's own
-# histogram block size.  A block of float64 draws is 512 KB, so it stays in
-# cache and the estimate's memory does not grow with the sample count.
+# Draws counted at a time by the empirical estimate.  A block of float64
+# draws is 512 KB, so it stays in cache while it is sorted and searched, and
+# the estimate's memory does not grow with the sample count.
 EMPIRICAL_BLOCK = 65_536
 
 
@@ -300,12 +300,21 @@ class EmpiricalEstimate:
 
 def _sampled_counts(mech, q, rng, samples, edges):
     """Histogram over ``edges`` of ``samples`` inverse-transform draws at q,
-    drawn and counted ``EMPIRICAL_BLOCK`` at a time."""
-    counts = np.zeros(edges.size - 1, dtype=np.intp)
+    drawn and counted ``EMPIRICAL_BLOCK`` at a time.
+
+    Each block is sorted in place and the edges are located in it by binary
+    search, as ``np.histogram`` does for explicit edges but without its copy
+    of the block: ``cum[k]`` counts the draws below ``edges[k]``, and the last
+    entry those up to and including ``edges[-1]``, so every bin is half-open
+    except the last, which is closed.
+    """
+    cum = np.zeros(edges.size, dtype=np.intp)
     for start in range(0, samples, EMPIRICAL_BLOCK):
-        size = min(EMPIRICAL_BLOCK, samples - start)
-        counts += np.histogram(mech.sample_inverse(q, rng, size=size), edges)[0]
-    return counts
+        block = mech.sample_inverse(q, rng, size=min(EMPIRICAL_BLOCK, samples - start))
+        block.sort()  # sample_inverse returns a fresh array, ours to reorder
+        cum[:-1] += block.searchsorted(edges[:-1], "left")
+        cum[-1:] += block.searchsorted(edges[-1:], "right")
+    return np.diff(cum)
 
 
 def empirical_privacy_estimate(mech, q, q_prime, samples: int = 1_000_000,
@@ -318,11 +327,12 @@ def empirical_privacy_estimate(mech, q, q_prime, samples: int = 1_000_000,
     bins where both counts reach ``floor``.  For a private mechanism the
     estimate should not exceed epsilon by more than sampling noise.
 
-    The draws stream through the histogram in blocks of ``EMPIRICAL_BLOCK``,
-    so working memory is O(block + bins) whatever ``samples`` is.  The blocks
-    continue one generator stream, so the counts equal those of drawing all
-    samples at once (unless the generator returns an exact 0.0, whose redraw
-    then comes from a later stream position).
+    The draws are counted in blocks of ``EMPIRICAL_BLOCK``, each sorted in
+    place, so working memory is O(block + bins) whatever ``samples`` is.  The
+    counts are those of ``np.histogram`` over ``edges``.  The blocks continue
+    one generator stream, so the counts equal those of drawing all samples at
+    once (unless the generator returns an exact 0.0, whose redraw then comes
+    from a later stream position).
     """
     d = mech.domain
     q = float(d.require_query(q))

@@ -14,7 +14,7 @@ from bounded_laplace import (
     baseline_scale,
     fixed_point_operator,
 )
-from bounded_laplace.mechanism import _log_ratio, _require_scale
+from bounded_laplace.mechanism import _log_ratio, _require_scale, _sample_count
 
 
 def random_problem(rng, span_fraction=None, eps_range=(1e-2, 10.0), delta_max=0.5):
@@ -198,6 +198,26 @@ def reference_quantile(mech, q, p):
     out = np.clip(np.where(use_below, below, above), d.lower, d.upper)
     out = np.where(pa == 0.0, d.lower, np.where(pa == 1.0, d.upper, out))
     return float(out) if out.ndim == 0 else out
+
+
+def reference_rejection(mech, q, rng, size=None):
+    """Oracle for ``CalibratedMechanism.sample_rejection``: its loop with the
+    draw counts kept by adding one to every pending sample each round."""
+    qa = float(mech.domain.require_query(q))
+    n = _sample_count(size)
+    d, b = mech.domain, mech.scale
+    values = np.empty(n)
+    draws = np.zeros(n, dtype=np.int64)
+    pending = np.arange(n)
+    while pending.size:
+        x = rng.laplace(qa, b, size=pending.size)
+        draws[pending] += 1
+        ok = (x >= d.lower) & (x <= d.upper)
+        values[pending[ok]] = x[ok]
+        pending = pending[~ok]
+    if size is None:
+        return float(values[0]), int(draws[0])
+    return values, draws
 
 
 def reference_empirical_counts(mech, q, q_prime, rng, samples, edges):

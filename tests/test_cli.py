@@ -250,6 +250,16 @@ def test_sweep_last_sensitivity_is_exactly_the_width(capsys):
     assert float(last[4]) == 1.0
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+@pytest.mark.parametrize("flag", ["--dq-steps", "--eps-steps"])
+def test_sweep_empty_grid_is_usage_error(flag, steps, capsys):
+    # a grid without a row would print only the CSV header
+    code, out, err = run_cli(["sweep", flag, steps], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_sweep_deterministic(capsys):
     argv = ["sweep", "--dq-steps", "3", "--eps-steps", "2"]
     _, out1, _ = run_cli(argv, capsys)

@@ -16,7 +16,7 @@ from bounded_laplace import (
     normalizer_ratio,
     sample_truncated,
 )
-from helpers import laplace_mass_quadrature, reference_quantile
+from helpers import laplace_mass_quadrature, reference_quantile, reference_rejection
 
 
 UNIT = OutputDomain(0.0, 1.0, 0.5)
@@ -426,6 +426,31 @@ def test_sample_rejection_scalar_form():
     value, draws = mech.sample_rejection(0.5, np.random.default_rng(5))
     assert 0.0 <= value <= 1.0
     assert draws >= 1
+
+
+@pytest.mark.parametrize("epsilon, sensitivity, scale, size", [
+    # acceptance about 0.005: the calibrated scale at a small budget
+    (0.01, 1.0, None, 20_000),
+    (0.01, 1.0, None, None),
+    # acceptance about 0.38 at the edges and 0.50 inside
+    (1.0, 0.5, 0.7, 5_000),
+    (1.0, 0.5, 0.7, None),
+])
+@pytest.mark.parametrize("q", [0.0, 0.37, 1.0])
+def test_sample_rejection_bitwise_equal_to_reference(epsilon, sensitivity, scale,
+                                                     size, q):
+    domain = OutputDomain(0.0, 1.0, sensitivity)
+    budget = PrivacyBudget(epsilon)
+    if scale is None:
+        scale = calibrate(domain, budget).b_star
+    mech = CalibratedMechanism(domain, budget, scale)
+    got = mech.sample_rejection(q, np.random.default_rng(31), size=size)
+    want = reference_rejection(mech, q, np.random.default_rng(31), size=size)
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        assert np.array_equal(g, w)
+        if size is not None:
+            assert g.dtype == w.dtype
 
 
 def test_sample_truncated_clamps_to_lower_bound():

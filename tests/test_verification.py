@@ -331,6 +331,40 @@ def test_empirical_estimate_blocks_match_one_shot_draws(domain, budget, samples,
     assert repr(est) == repr(ref)  # repr: NaN estimates compare equal too
 
 
+class _ReplaySampler:
+    """Stands in for a mechanism whose ``sample_inverse`` hands out the next
+    ``size`` entries of a fixed array, each time as a fresh array."""
+
+    def __init__(self, values):
+        self.values = values
+        self.served = 0
+
+    def sample_inverse(self, q, rng, size):
+        out = self.values[self.served:self.served + size].copy()
+        self.served += size
+        return out
+
+
+@pytest.mark.parametrize("domain", [OutputDomain(0.0, 1.0, 0.5), FAR_DOMAIN])
+def test_sampled_counts_match_histogram_on_exact_edges(domain):
+    # every edge, its neighbouring doubles inside the domain and the domain
+    # edges themselves, so each bin's closed or open end decides some counts;
+    # about 70,000 values, so a block boundary falls among them
+    edges = np.linspace(domain.lower, domain.upper, 51)
+    below = np.nextafter(edges, -np.inf)
+    above = np.nextafter(edges, np.inf)
+    points = np.concatenate([edges, below[below >= domain.lower],
+                             above[above <= domain.upper]])
+    values = np.concatenate([np.tile(points, 400), np.full(5_000, domain.lower),
+                             np.full(5_000, domain.upper)])
+    np.random.default_rng(3).shuffle(values)
+    stub = _ReplaySampler(values)
+    got = _sampled_counts(stub, domain.lower, None, values.size, edges)
+    want = np.histogram(values, edges)[0]
+    assert stub.served == values.size > verification.EMPIRICAL_BLOCK
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_empirical_estimate_memory_does_not_grow_with_samples():
     mech = calibrated(OutputDomain(0.0, 1.0, 0.5))
     q, q_prime = mech.domain.worst_case_pair()
