@@ -89,14 +89,10 @@ def _cmd_sample(args) -> int:
 def _cmd_verify(args) -> int:
     domain, budget = _domain_budget(args)
     scale = args.b if args.b is not None else calibrate(domain, budget).b_star
-    config = PrivacyCheckConfig(
-        q_grid_size=args.q_grid,
-        set_grid_size=args.set_grid,
-        slack=args.slack,
-    )
+    config = PrivacyCheckConfig(q_grid_size=args.q_grid, set_grid_size=args.set_grid)
     rng = _make_rng(args.seed) if args.samples else None
     report = run_all_checks(domain, budget, scale=scale, config=config,
-                            rng=rng, samples=args.samples, bins=args.bins)
+                            rng=rng, samples=args.samples)
     if args.format == "json":
         out = report.to_dict()
         out["scale"] = float(scale)
@@ -186,10 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "baseline scale to reproduce the non-guarantee")
     p.add_argument("--q-grid", type=int, default=200, dest="q_grid")
     p.add_argument("--set-grid", type=int, default=200, dest="set_grid")
-    p.add_argument("--slack", type=float, default=1e-9)
     p.add_argument("--samples", type=int, default=1_000_000,
                    help="empirical-check sample count (0 skips it)")
-    p.add_argument("--bins", type=int, default=50)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_verify)
 

@@ -1,7 +1,4 @@
-"""Exception types shared across the package.
-
-``calibrate`` has no iteration cap, so no error type reports non-convergence.
-"""
+"""Exception types shared across the package."""
 
 
 class BoundedLaplaceError(Exception):

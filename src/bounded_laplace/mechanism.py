@@ -124,8 +124,13 @@ class OutputDomain:
 
 
 def _normalizer(domain, q, b):
-    """C(q) on validated inputs: the two in-domain half masses, each through expm1."""
-    return -0.5 * (np.expm1(-(q - domain.lower) / b) + np.expm1(-(domain.upper - q) / b))
+    """C(q) on validated inputs."""
+    return _inside_mass(q - domain.lower, domain.upper - q, b)
+
+
+def _inside_mass(left, right, b):
+    """Mass of Laplace(0, b) on [-left, right]: two half masses, each through expm1."""
+    return -0.5 * (np.expm1(-left / b) + np.expm1(-right / b))
 
 
 def _log_ratio(domain, b):
@@ -170,9 +175,12 @@ class CalibratedMechanism:
 
     The constructor deliberately does not require ``scale`` to satisfy the
     privacy condition: the verification module constructs miscalibrated
-    instances on purpose.  Use :meth:`privacy_slack` / :meth:`is_private`
-    to test the condition; scales produced by
-    :func:`bounded_laplace.calibration.calibrate` always satisfy it.
+    instances on purpose.  The condition is
+    ``achieved_epsilon(domain, scale, delta) <= epsilon``
+    (:func:`bounded_laplace.calibration.achieved_epsilon`), and
+    :func:`bounded_laplace.verification.check_sufficient_condition` checks
+    it; scales produced by :func:`bounded_laplace.calibration.calibrate`
+    always satisfy it.
     """
 
     domain: OutputDomain
@@ -181,25 +189,6 @@ class CalibratedMechanism:
 
     def __post_init__(self):
         object.__setattr__(self, "scale", _require_scale(self.scale))
-
-    def privacy_slack(self) -> float:
-        """epsilon - sensitivity/scale - log(ratio) - log(1 - delta).
-
-        Nonnegative iff the scale makes the mechanism private at its budget.
-        """
-        d, p = self.domain, self.budget
-        return (
-            p.epsilon
-            - d.sensitivity / self.scale
-            - float(_log_ratio(d, self.scale))
-            - math.log1p(-p.delta)
-        )
-
-    def is_private(self, tolerance: float = 1e-9) -> bool:
-        return self.privacy_slack() >= -tolerance
-
-    def normalizer(self, q):
-        return normalizer(self.domain, q, self.scale)
 
     def pdf(self, q, x):
         """Density at x: zero outside the domain, renormalised Laplace inside.

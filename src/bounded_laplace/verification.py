@@ -25,7 +25,8 @@ import numpy as np
 
 from ._kernels import worst_interval_margin
 from .calibration import baseline_scale, calibrate, fixed_point_operator
-from .mechanism import CalibratedMechanism, _normalizer, _require_scale, normalizer_ratio
+from .mechanism import (CalibratedMechanism, _inside_mass, _normalizer, _require_scale,
+                        normalizer_ratio)
 
 __all__ = [
     "PrivacyCheckConfig",
@@ -41,13 +42,22 @@ __all__ = [
     "run_all_checks",
 ]
 
+# Slack on the privacy inequality (added to delta) and on the sufficient
+# condition; absorbs the rounding of the closed-form masses.
+PRIVACY_SLACK = 1e-9
 # Central-difference step, relative to the natural scale of the variable.
 FD_STEP = 1e-6
-# Default slack for finite-difference sign checks; absorbs the cancellation
-# noise of double-precision differences at FD_STEP-sized steps.
+# Slack for finite-difference sign checks; absorbs the cancellation noise of
+# double-precision differences at FD_STEP-sized steps.
 FD_SLACK = 1e-8
+# Log-spaced scales at which the fixed-point slopes are differenced.
+FIXED_POINT_GRID = 40
 # Absolute slack allowed on the empirical max log-ratio estimate.
 EMPIRICAL_SLACK = 0.05
+# Equal-width bins of the empirical estimate, and the count both queries
+# need in a bin for it to enter the estimate.
+EMPIRICAL_BINS = 50
+EMPIRICAL_FLOOR = 10
 # Draws counted at a time by the empirical estimate.  A block of float64
 # draws is 512 KB, so it stays in cache while it is sorted and searched, and
 # the estimate's memory does not grow with the sample count.
@@ -56,22 +66,19 @@ EMPIRICAL_BLOCK = 65_536
 
 @dataclass(frozen=True)
 class PrivacyCheckConfig:
-    """Grid resolution and tolerance for the brute-force privacy check.
+    """Grid resolution of the brute-force privacy check.
 
-    ``slack`` is the numeric tolerance added to delta when deciding
-    pass/fail.  The output sets searched are the single intervals between
-    points of a ``set_grid_size`` grid over the domain.
+    The queries are a ``q_grid_size`` grid over the domain, and the output
+    sets searched are the single intervals between points of a
+    ``set_grid_size`` grid.  The tolerance is fixed at ``PRIVACY_SLACK``.
     """
 
     q_grid_size: int = 200
     set_grid_size: int = 200
-    slack: float = 1e-9
 
     def __post_init__(self):
         if self.q_grid_size < 2 or self.set_grid_size < 2:
             raise ValueError("grid sizes must be at least 2")
-        if self.slack < 0.0:
-            raise ValueError(f"slack must be nonnegative, got {self.slack}")
 
 
 @dataclass(frozen=True)
@@ -132,8 +139,8 @@ def check_privacy_inequality(mech, config=None) -> CheckResult:
 
     For every grid pair (q, q') within one sensitivity of each other and
     every grid interval A, asserts
-    ``P(W_q in A) - e^eps * P(W_q' in A) <= delta + slack`` using closed-form
-    CDF differences for the interval probabilities.  The worst margin and
+    ``P(W_q in A) - e^eps * P(W_q' in A) <= delta + PRIVACY_SLACK`` using
+    closed-form CDF differences for the interval probabilities.  The worst margin and
     the point achieving it are recorded either way.
     """
     config = config or PrivacyCheckConfig()
@@ -148,14 +155,14 @@ def check_privacy_inequality(mech, config=None) -> CheckResult:
         "intervals": [[float(xs[i]), float(xs[j])] for i, j in intervals],
         "scale": float(mech.scale),
     }
-    return CheckResult("privacy_inequality", bool(margin <= config.slack),
+    return CheckResult("privacy_inequality", bool(margin <= PRIVACY_SLACK),
                        float(margin), witness)
 
 
-def check_sufficient_condition(mech, slack: float = 1e-9) -> CheckResult:
+def check_sufficient_condition(mech) -> CheckResult:
     """Evaluate the scalar sufficient condition for privacy at the mechanism's scale.
 
-    Passes iff ``exp(eps - sensitivity/b) / ratio(b) + delta >= 1 - slack``;
+    Passes iff ``exp(eps - sensitivity/b) / ratio(b) + delta >= 1 - PRIVACY_SLACK``;
     the value sits exactly at 1 when b is the calibrated fixed point and
     grows with b.
     """
@@ -167,7 +174,7 @@ def check_sufficient_condition(mech, slack: float = 1e-9) -> CheckResult:
     )
     margin = 1.0 - value
     witness = {"value": float(value), "scale": float(mech.scale)}
-    return CheckResult("sufficient_condition", bool(margin <= slack),
+    return CheckResult("sufficient_condition", bool(margin <= PRIVACY_SLACK),
                        float(margin), witness)
 
 
@@ -175,27 +182,33 @@ def privacy_loss_log_ratio(domain, b, q, z):
     """log of (C(q+z)/C(q)) * e^(z/b), broadcast over q and z.
 
     Working on the log keeps the value finite where e^(z/b) would overflow;
-    the monotonicity sign claims are unchanged by the log.
+    the monotonicity sign claims are unchanged by the log.  ``q + z`` is
+    formed as its distance from the lower edge, so far from 0 it rounds at
+    the scale of the width, not of the edges.
     """
     b = _require_scale(b)
     qa = domain.require_query(q)
     za = np.asarray(z, dtype=float)
     if np.any(za < 0.0):
         raise ValueError("offset z must be nonnegative")
-    overshoot = (qa + za) - domain.upper
-    if np.any(overshoot > 1e-9 * domain.width):
+    w = domain.width
+    left = (qa - domain.lower) + za
+    # q itself rounds at the scale of the edges, so q + z may pass the upper
+    # edge by that much; the overshoot comes off both C's argument and the
+    # exponent, so the two describe the same point
+    overshoot = np.maximum(left - w, 0.0)
+    if np.any(overshoot > max(1e-9 * w, _pair_tolerance(domain))):
         raise ValueError("q + z must stay inside the domain")
-    shifted = np.minimum(qa + za, domain.upper)
+    left = np.minimum(left, w)
     out = (
-        np.log(_normalizer(domain, shifted, b))
+        np.log(_inside_mass(left, w - left, b))
         - np.log(_normalizer(domain, qa, b))
-        + za / b
+        + (za - overshoot) / b
     )
     return float(out) if np.ndim(out) == 0 else out
 
 
-def check_ratio_monotonicity(domain, b, grid: int = 64,
-                             slack: float = FD_SLACK) -> CheckResult:
+def check_ratio_monotonicity(domain, b, grid: int = 64) -> CheckResult:
     """Finite-difference sign check of the privacy-loss ratio surface.
 
     On a grid of (q, z) with q + z inside the domain, the ratio
@@ -227,11 +240,10 @@ def check_ratio_monotonicity(domain, b, grid: int = 64,
         witness = {"derivative": "q", "q": float(q2[kq]), "z": float(z2[kq]),
                    "slope": float(dq[kq]), "scale": b}
     margin = max(margin_z, margin_q)
-    return CheckResult("ratio_monotonicity", bool(margin <= slack), margin, witness)
+    return CheckResult("ratio_monotonicity", bool(margin <= FD_SLACK), margin, witness)
 
 
-def check_fixed_point_properties(domain, budget, grid: int = 40,
-                                 slack: float = FD_SLACK) -> CheckResult:
+def check_fixed_point_properties(domain, budget) -> CheckResult:
     """Check the facts that make the calibration bracket work.
 
     Asserts that the update map at the baseline scale does not fall below it
@@ -240,16 +252,14 @@ def check_fixed_point_properties(domain, budget, grid: int = 40,
     log-spaced grid of scales, and that the ratio at the baseline scale
     stays below e^eps / (1 - delta) so the update is well defined.
     """
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
     b0 = baseline_scale(domain, budget)
     f_b0 = fixed_point_operator(domain, budget, b0)
     rel_gap = (f_b0 - b0) / b0
     spans = domain.sensitivity >= domain.width * (1.0 - 1e-12)
 
-    bs = np.geomspace(b0, 100.0 * b0, grid)
-    f_slopes = np.empty(grid)
-    ratio_slopes = np.empty(grid)
+    bs = np.geomspace(b0, 100.0 * b0, FIXED_POINT_GRID)
+    f_slopes = np.empty(bs.size)
+    ratio_slopes = np.empty(bs.size)
     for k, b in enumerate(bs):
         h = FD_STEP * b
         f_slopes[k] = (fixed_point_operator(domain, budget, b + h)
@@ -264,11 +274,11 @@ def check_fixed_point_properties(domain, budget, grid: int = 40,
     f_margin = float(f_slopes.max())
     ratio_margin = float(ratio_slopes.max())
     margin = max(init_margin, f_margin, ratio_margin, headroom)
-    passed = margin <= slack and headroom < 0.0
+    passed = margin <= FD_SLACK and headroom < 0.0
     if spans:
         passed = passed and abs(rel_gap) <= 1e-12 \
-            and float(np.abs(f_slopes).max()) <= slack \
-            and float(np.abs(ratio_slopes).max()) <= slack
+            and float(np.abs(f_slopes).max()) <= FD_SLACK \
+            and float(np.abs(ratio_slopes).max()) <= FD_SLACK
     else:
         passed = passed and rel_gap > 0.0
     witness = {
@@ -288,8 +298,9 @@ def check_fixed_point_properties(domain, budget, grid: int = 40,
 class EmpiricalEstimate:
     """Sampled max log-ratio of binned output frequencies.
 
-    ``reliable`` is False when fewer than half the bins had at least
-    ``floor`` samples on both sides.
+    ``bins_used`` counts the ``EMPIRICAL_BINS`` bins in which both queries
+    drew at least ``EMPIRICAL_FLOOR`` samples; ``reliable`` is False when
+    that is fewer than half of them.
     """
 
     estimate: float
@@ -318,14 +329,14 @@ def _sampled_counts(mech, q, rng, samples, edges):
 
 
 def empirical_privacy_estimate(mech, q, q_prime, samples: int = 1_000_000,
-                               bins: int = 50, rng=None,
-                               floor: int = 10) -> EmpiricalEstimate:
+                               rng=None) -> EmpiricalEstimate:
     """Monte-Carlo sanity check complementing the analytic privacy check.
 
-    Draws ``samples`` outputs for each of q and q', bins them over the
-    domain, and returns the max over bins of log(freq_q / freq_q') among
-    bins where both counts reach ``floor``.  For a private mechanism the
-    estimate should not exceed epsilon by more than sampling noise.
+    Draws ``samples`` outputs for each of q and q', bins them into
+    ``EMPIRICAL_BINS`` equal bins over the domain, and returns the max over
+    bins of log(freq_q / freq_q') among bins where both counts reach
+    ``EMPIRICAL_FLOOR``.  For a private mechanism the estimate should not
+    exceed epsilon by more than sampling noise.
 
     The draws are counted in blocks of ``EMPIRICAL_BLOCK``, each sorted in
     place, so working memory is O(block + bins) whatever ``samples`` is.  The
@@ -339,21 +350,21 @@ def empirical_privacy_estimate(mech, q, q_prime, samples: int = 1_000_000,
     q_prime = float(d.require_query(q_prime))
     if abs(q - q_prime) > d.sensitivity + _pair_tolerance(d):
         raise ValueError("q and q_prime must be within one sensitivity of each other")
-    if samples < 1 or bins < 1:
-        raise ValueError("samples and bins must be positive")
+    if samples < 1:
+        raise ValueError("samples must be positive")
     if rng is None:
         rng = np.random.default_rng()
-    edges = np.linspace(d.lower, d.upper, bins + 1)
+    edges = np.linspace(d.lower, d.upper, EMPIRICAL_BINS + 1)
     count_q = _sampled_counts(mech, q, rng, samples, edges)
     count_p = _sampled_counts(mech, q_prime, rng, samples, edges)
-    used = (count_q >= floor) & (count_p >= floor)
+    used = (count_q >= EMPIRICAL_FLOOR) & (count_p >= EMPIRICAL_FLOOR)
     if not used.any():
         return EmpiricalEstimate(math.nan, False, 0, None)
     log_ratio = np.log(count_q[used]) - np.log(count_p[used])
     k = int(np.argmax(log_ratio))
     used_idx = np.nonzero(used)[0]
     bin_idx = int(used_idx[k])
-    reliable = int(used.sum()) >= max(1, bins // 2)
+    reliable = int(used.sum()) >= EMPIRICAL_BINS // 2
     return EmpiricalEstimate(
         estimate=float(log_ratio[k]),
         reliable=bool(reliable),
@@ -363,7 +374,7 @@ def empirical_privacy_estimate(mech, q, q_prime, samples: int = 1_000_000,
 
 
 def run_all_checks(domain, budget, scale=None, config=None, rng=None,
-                   samples: int = 1_000_000, bins: int = 50) -> VerificationReport:
+                   samples: int = 1_000_000) -> VerificationReport:
     """Run the full check suite against one mechanism.
 
     ``scale=None`` calibrates first; passing the baseline scale instead is
@@ -376,14 +387,13 @@ def run_all_checks(domain, budget, scale=None, config=None, rng=None,
     mech = CalibratedMechanism(domain, budget, scale)
     checks = [
         check_privacy_inequality(mech, config),
-        check_sufficient_condition(mech, slack=config.slack),
+        check_sufficient_condition(mech),
         check_ratio_monotonicity(domain, mech.scale),
         check_fixed_point_properties(domain, budget),
     ]
     if samples:
         q, q_prime = domain.worst_case_pair()
-        est = empirical_privacy_estimate(mech, q, q_prime, samples=samples,
-                                         bins=bins, rng=rng)
+        est = empirical_privacy_estimate(mech, q, q_prime, samples=samples, rng=rng)
         margin = est.estimate - budget.epsilon
         passed = (not est.reliable) or margin <= EMPIRICAL_SLACK
         checks.append(CheckResult(

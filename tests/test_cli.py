@@ -172,6 +172,19 @@ def test_verify_json_report(capsys):
         assert "worst_margin" in check and "witness" in check
 
 
+@pytest.mark.parametrize("problem", [
+    ["--lower", "12345.6", "--upper", "12345.7", "--sensitivity", "0.05"],
+    ["--lower", "1e9", "--upper", "1000000001", "--sensitivity", "0.5"],
+    ["--lower", "1e6", "--upper", "1000000.001", "--sensitivity", "0.0005"],
+])
+def test_verify_passes_far_from_zero(problem, capsys):
+    # the query grid rounds at the scale of |lower|, far coarser than the width
+    code, out, err = run_cli(["verify", "--epsilon", "1", *problem, "--samples", "0"],
+                             capsys)
+    assert (code, err) == (0, "")
+    assert "ratio_monotonicity: PASS" in out
+
+
 def test_verify_csv_report(capsys):
     code, out, _ = run_cli(
         ["verify", *BASE, "--sensitivity", "0.5", "--format", "csv",
@@ -284,12 +297,15 @@ def test_missing_required_flag_is_usage_error(capsys):
 
 def test_verify_two_intervals_flag_is_usage_error(capsys):
     # single intervals are exact for this mechanism, so verify has no
-    # two-interval search to switch on
-    with pytest.raises(SystemExit) as info:
-        main(["verify", *BASE, "--sensitivity", "0.5", *VERIFY_FAST,
-              "--two-intervals"])
-    assert info.value.code == 2
-    assert "--two-intervals" in capsys.readouterr().err
+    # two-interval search to switch on; its tolerances and bin count are
+    # fixed, so it takes no flag for them either
+    for flag in (["--two-intervals"], ["--slack", "1e-9"], ["--bins", "50"]):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", *BASE, "--sensitivity", "0.5", *VERIFY_FAST, *flag])
+        assert info.value.code == 2
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert flag[0] in cap.err
 
 
 SUBCOMMAND_ARGV = {

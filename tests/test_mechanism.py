@@ -122,12 +122,6 @@ def test_mechanism_rejects_bad_scale():
         CalibratedMechanism(UNIT, BUDGET, 0.0)
 
 
-def test_is_private_flags_baseline_scale():
-    report = calibrate(UNIT, BUDGET)
-    assert CalibratedMechanism(UNIT, BUDGET, report.b_star).is_private()
-    assert not CalibratedMechanism(UNIT, BUDGET, report.b0).is_private()
-
-
 # ---------------------------------------------------------------- normalizer
 
 

@@ -204,6 +204,30 @@ def test_ratio_monotonicity_random_draws():
         assert res.passed, res
 
 
+def _far_from_zero(rng):
+    # q + z rounds at the scale of |lower|, many ulps of the width
+    lower = rng.uniform(-1e6, 1e6)
+    width = 10.0 ** rng.uniform(-3.0, 3.0)
+    return OutputDomain(lower, lower + width, width / 2.0), BUDGET
+
+
+def _small_scale(rng):
+    # epsilon from 30 to 1000 puts b far below the width, where one ulp of
+    # q + z divided by b, in the exponent, would outweigh FD_SLACK
+    return (OutputDomain(0.0, 1.0, rng.uniform(0.05, 1.0)),
+            PrivacyBudget(10.0 ** rng.uniform(1.5, 3.0)))
+
+
+@pytest.mark.parametrize("family", [_far_from_zero, _small_scale])
+def test_ratio_monotonicity_survives_rounding_of_q_plus_z(family):
+    rng = np.random.default_rng(41)
+    for _ in range(150):
+        domain, budget = family(rng)
+        for b in (calibrate(domain, budget).b_star, baseline_scale(domain, budget)):
+            res = check_ratio_monotonicity(domain, b)
+            assert res.passed, (domain, budget, b, res)
+
+
 def test_ratio_monotonicity_stable_under_grid_refinement():
     domain = OutputDomain(0.0, 2.0, 0.7)
     for grid in (40, 80):
@@ -435,5 +459,3 @@ def test_report_serializes_to_json():
 def test_config_validation():
     with pytest.raises(ValueError):
         PrivacyCheckConfig(q_grid_size=1)
-    with pytest.raises(ValueError):
-        PrivacyCheckConfig(slack=-1e-9)
