@@ -33,7 +33,6 @@ from .mechanism import (
 )
 from .verification import (
     CheckResult,
-    EmpiricalEstimate,
     PrivacyCheckConfig,
     VerificationReport,
     check_fixed_point_properties,
@@ -53,7 +52,6 @@ __all__ = [
     "CalibrationInfeasibleError",
     "CalibrationReport",
     "CheckResult",
-    "EmpiricalEstimate",
     "OutputDomain",
     "PrivacyBudget",
     "PrivacyCheckConfig",

@@ -24,10 +24,11 @@ def worst_interval_margin(cdf, pair_a, pair_b, amp):
     rows ``pair_a[p]`` / ``pair_b[p]`` form the p-th query pair; ``A`` runs
     over all intervals ``[x_i, x_j]`` with ``i < j``.
 
-    Returns ``(margin, pair_index, intervals)`` with ``intervals`` a
-    one-tuple holding the ``(i, j)`` index pair.  Ties between equal margins
-    go to the lexicographically first ``(p, i, j)``, and the margin is the
-    float difference ``d[j] - d[i]`` of the two entries it names.
+    Returns ``(margin, pair_index, i, j)``: the worst set is
+    ``[x_i, x_j]`` for the query pair ``pair_index``.  Ties between equal
+    margins go to the lexicographically first ``(pair_index, i, j)``, and the
+    margin is the float difference ``d[j] - d[i]`` of the two entries it
+    names.
     """
     cdf = np.ascontiguousarray(cdf, dtype=np.float64)
     pair_a = np.ascontiguousarray(pair_a, dtype=np.int64)
@@ -40,8 +41,7 @@ def worst_interval_margin(cdf, pair_a, pair_b, amp):
     for arr in (pair_a, pair_b):
         if arr.min() < 0 or arr.max() >= cdf.shape[0]:
             raise ValueError("pair indices out of range")
-    best, p, i, j = _single_margin_numpy(cdf, pair_a, pair_b, amp)
-    return best, p, ((i, j),)
+    return _single_margin_numpy(cdf, pair_a, pair_b, amp)
 
 
 def _single_margin_numpy(cdf, pair_a, pair_b, amp):

@@ -2,10 +2,12 @@
 
 The headline check brute-forces the differential-privacy inequality over a
 grid of query pairs and a grid family of output intervals; the remaining
-checks validate the scalar sufficient condition, the monotonicity facts
-behind the worst-case pair location, and the fixed-point facts behind the
-calibration bracket, all by direct evaluation or central finite differences.
-A failing check is a report outcome, never an exception.
+checks validate the scalar sufficient condition through ``achieved_epsilon``,
+the monotonicity facts behind the worst-case pair location, and the
+fixed-point facts behind the calibration bracket, all by direct evaluation
+or central finite differences, and sample the worst-case pair.  Every check
+returns a ``CheckResult``; a failing check is a report outcome, never an
+exception (the grid check refuses eps above log(DBL_MAX) with a ValueError).
 
 Scope caveat: the privacy guarantee quantifies over all measurable output
 sets, while the grid check searches single intervals at finite resolution.
@@ -19,12 +21,13 @@ random generator.
 """
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from ._kernels import worst_interval_margin
-from .calibration import baseline_scale, calibrate, fixed_point_operator
+from .calibration import achieved_epsilon, baseline_scale, calibrate, fixed_point_operator
 from .mechanism import (CalibratedMechanism, _inside_mass, _normalizer, _require_scale,
                         normalizer_ratio)
 
@@ -32,7 +35,6 @@ __all__ = [
     "PrivacyCheckConfig",
     "CheckResult",
     "VerificationReport",
-    "EmpiricalEstimate",
     "privacy_loss_log_ratio",
     "check_privacy_inequality",
     "check_sufficient_condition",
@@ -89,12 +91,7 @@ class CheckResult:
     witness: dict
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "worst_margin": self.worst_margin,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -142,17 +139,26 @@ def check_privacy_inequality(mech, config=None) -> CheckResult:
     ``P(W_q in A) - e^eps * P(W_q' in A) <= delta + PRIVACY_SLACK`` using
     closed-form CDF differences for the interval probabilities.  The worst margin and
     the point achieving it are recorded either way.
+
+    Raises ``ValueError``, before any CDF is evaluated, when eps exceeds
+    log(DBL_MAX): e^eps is then not a finite double, and CDF entries far
+    from q' underflow to 0, so no clamped e^eps would give a sound verdict.
     """
     config = config or PrivacyCheckConfig()
     budget = mech.budget
+    eps_limit = math.log(sys.float_info.max)
+    if budget.epsilon > eps_limit:
+        raise ValueError(
+            f"the grid privacy check needs a finite e^epsilon: epsilon "
+            f"{budget.epsilon} exceeds log(DBL_MAX) = {eps_limit}")
     qs, xs, cdf, pair_a, pair_b = _scan_grid(mech, config)
-    raw, pair_idx, intervals = worst_interval_margin(
+    raw, pair_idx, i, j = worst_interval_margin(
         cdf, pair_a, pair_b, math.exp(budget.epsilon))
     margin = raw - budget.delta
     witness = {
         "q": float(qs[pair_a[pair_idx]]),
         "q_prime": float(qs[pair_b[pair_idx]]),
-        "intervals": [[float(xs[i]), float(xs[j])] for i, j in intervals],
+        "intervals": [[float(xs[i]), float(xs[j])]],
         "scale": float(mech.scale),
     }
     return CheckResult("privacy_inequality", bool(margin <= PRIVACY_SLACK),
@@ -162,18 +168,15 @@ def check_privacy_inequality(mech, config=None) -> CheckResult:
 def check_sufficient_condition(mech) -> CheckResult:
     """Evaluate the scalar sufficient condition for privacy at the mechanism's scale.
 
-    Passes iff ``exp(eps - sensitivity/b) / ratio(b) + delta >= 1 - PRIVACY_SLACK``;
-    the value sits exactly at 1 when b is the calibrated fixed point and
-    grows with b.
+    The margin is ``achieved_epsilon(b) - eps``, and the check passes iff it
+    is at most ``PRIVACY_SLACK``: the margin sits at 0 when b is the
+    calibrated fixed point and falls as b grows.
     """
-    d, budget = mech.domain, mech.budget
-    value = (
-        math.exp(budget.epsilon - d.sensitivity / mech.scale)
-        / normalizer_ratio(d, mech.scale)
-        + budget.delta
-    )
-    margin = 1.0 - value
-    witness = {"value": float(value), "scale": float(mech.scale)}
+    budget = mech.budget
+    achieved = achieved_epsilon(mech.domain, mech.scale, budget.delta)
+    margin = achieved - budget.epsilon
+    witness = {"achieved_epsilon": float(achieved), "epsilon": float(budget.epsilon),
+               "scale": float(mech.scale)}
     return CheckResult("sufficient_condition", bool(margin <= PRIVACY_SLACK),
                        float(margin), witness)
 
@@ -214,7 +217,9 @@ def check_ratio_monotonicity(domain, b, grid: int = 64) -> CheckResult:
     On a grid of (q, z) with q + z inside the domain, the ratio
     (C(q+z)/C(q)) e^(z/b) must be nondecreasing in z and nonincreasing in q;
     both slopes are measured by central differences of the log ratio with a
-    step of ``FD_STEP`` times the domain width.
+    step of ``FD_STEP`` times the domain width, and taken per unit of width
+    (multiplied by it), so ``FD_SLACK`` bounds the same rounding noise on
+    every domain.
     """
     if grid < 2:
         raise ValueError("grid must be at least 2")
@@ -225,10 +230,10 @@ def check_ratio_monotonicity(domain, b, grid: int = 64) -> CheckResult:
     q2 = np.broadcast_to(qs[:, None], (grid, grid))
     span = np.maximum(domain.upper - qs[:, None] - 2.0 * h, 0.0)
     z2 = h + t[None, :] * span
-    dz = (privacy_loss_log_ratio(domain, b, q2, z2 + h)
-          - privacy_loss_log_ratio(domain, b, q2, z2 - h)) / (2.0 * h)
-    dq = (privacy_loss_log_ratio(domain, b, q2 + h, z2)
-          - privacy_loss_log_ratio(domain, b, q2 - h, z2)) / (2.0 * h)
+    dz = domain.width * (privacy_loss_log_ratio(domain, b, q2, z2 + h)
+                         - privacy_loss_log_ratio(domain, b, q2, z2 - h)) / (2.0 * h)
+    dq = domain.width * (privacy_loss_log_ratio(domain, b, q2 + h, z2)
+                         - privacy_loss_log_ratio(domain, b, q2 - h, z2)) / (2.0 * h)
     kz = np.unravel_index(np.argmin(dz), dz.shape)
     kq = np.unravel_index(np.argmax(dq), dq.shape)
     margin_z = float(-dz[kz])
@@ -294,21 +299,6 @@ def check_fixed_point_properties(domain, budget) -> CheckResult:
     return CheckResult("fixed_point_properties", bool(passed), float(margin), witness)
 
 
-@dataclass(frozen=True)
-class EmpiricalEstimate:
-    """Sampled max log-ratio of binned output frequencies.
-
-    ``bins_used`` counts the ``EMPIRICAL_BINS`` bins in which both queries
-    drew at least ``EMPIRICAL_FLOOR`` samples; ``reliable`` is False when
-    that is fewer than half of them.
-    """
-
-    estimate: float
-    reliable: bool
-    bins_used: int
-    witness_bin: tuple | None
-
-
 def _sampled_counts(mech, q, rng, samples, edges):
     """Histogram over ``edges`` of ``samples`` inverse-transform draws at q,
     drawn and counted ``EMPIRICAL_BLOCK`` at a time.
@@ -329,14 +319,16 @@ def _sampled_counts(mech, q, rng, samples, edges):
 
 
 def empirical_privacy_estimate(mech, q, q_prime, samples: int = 1_000_000,
-                               rng=None) -> EmpiricalEstimate:
+                               rng=None) -> CheckResult:
     """Monte-Carlo sanity check complementing the analytic privacy check.
 
     Draws ``samples`` outputs for each of q and q', bins them into
-    ``EMPIRICAL_BINS`` equal bins over the domain, and returns the max over
+    ``EMPIRICAL_BINS`` equal bins over the domain, and estimates the max over
     bins of log(freq_q / freq_q') among bins where both counts reach
-    ``EMPIRICAL_FLOOR``.  For a private mechanism the estimate should not
-    exceed epsilon by more than sampling noise.
+    ``EMPIRICAL_FLOOR``.  The margin is that estimate minus epsilon; it is
+    NaN when no bin qualifies.  The estimate is ``reliable`` when at least
+    half the bins qualify, and the check fails only for a reliable estimate
+    more than ``EMPIRICAL_SLACK`` above epsilon.
 
     The draws are counted in blocks of ``EMPIRICAL_BLOCK``, each sorted in
     place, so working memory is O(block + bins) whatever ``samples`` is.  The
@@ -358,19 +350,21 @@ def empirical_privacy_estimate(mech, q, q_prime, samples: int = 1_000_000,
     count_q = _sampled_counts(mech, q, rng, samples, edges)
     count_p = _sampled_counts(mech, q_prime, rng, samples, edges)
     used = (count_q >= EMPIRICAL_FLOOR) & (count_p >= EMPIRICAL_FLOOR)
-    if not used.any():
-        return EmpiricalEstimate(math.nan, False, 0, None)
-    log_ratio = np.log(count_q[used]) - np.log(count_p[used])
-    k = int(np.argmax(log_ratio))
-    used_idx = np.nonzero(used)[0]
-    bin_idx = int(used_idx[k])
-    reliable = int(used.sum()) >= EMPIRICAL_BINS // 2
-    return EmpiricalEstimate(
-        estimate=float(log_ratio[k]),
-        reliable=bool(reliable),
-        bins_used=int(used.sum()),
-        witness_bin=(float(edges[bin_idx]), float(edges[bin_idx + 1])),
-    )
+    bins_used = int(used.sum())
+    estimate, witness_bin = math.nan, None
+    if bins_used:
+        log_ratio = np.log(count_q[used]) - np.log(count_p[used])
+        k = int(np.argmax(log_ratio))
+        bin_idx = int(np.nonzero(used)[0][k])
+        estimate = float(log_ratio[k])
+        witness_bin = [float(edges[bin_idx]), float(edges[bin_idx + 1])]
+    reliable = bins_used >= EMPIRICAL_BINS // 2
+    margin = estimate - mech.budget.epsilon
+    witness = {"estimate": estimate, "epsilon": float(mech.budget.epsilon),
+               "reliable": reliable, "bins_used": bins_used, "witness_bin": witness_bin,
+               "samples": int(samples)}
+    return CheckResult("empirical_privacy", bool(not reliable or margin <= EMPIRICAL_SLACK),
+                       float(margin), witness)
 
 
 def run_all_checks(domain, budget, scale=None, config=None, rng=None,
@@ -379,7 +373,7 @@ def run_all_checks(domain, budget, scale=None, config=None, rng=None,
 
     ``scale=None`` calibrates first; passing the baseline scale instead is
     the canonical way to reproduce the non-guarantee.  ``samples=0`` skips
-    the empirical estimate.
+    the empirical estimate, which runs on the worst-case pair.
     """
     config = config or PrivacyCheckConfig()
     if scale is None:
@@ -392,21 +386,6 @@ def run_all_checks(domain, budget, scale=None, config=None, rng=None,
         check_fixed_point_properties(domain, budget),
     ]
     if samples:
-        q, q_prime = domain.worst_case_pair()
-        est = empirical_privacy_estimate(mech, q, q_prime, samples=samples, rng=rng)
-        margin = est.estimate - budget.epsilon
-        passed = (not est.reliable) or margin <= EMPIRICAL_SLACK
-        checks.append(CheckResult(
-            "empirical_privacy",
-            bool(passed),
-            float(margin),
-            {
-                "estimate": est.estimate,
-                "epsilon": float(budget.epsilon),
-                "reliable": est.reliable,
-                "bins_used": est.bins_used,
-                "witness_bin": list(est.witness_bin) if est.witness_bin else None,
-                "samples": int(samples),
-            },
-        ))
+        checks.append(empirical_privacy_estimate(mech, *domain.worst_case_pair(),
+                                                 samples=samples, rng=rng))
     return VerificationReport(tuple(checks))

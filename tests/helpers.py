@@ -9,10 +9,12 @@ from scipy import integrate
 from bounded_laplace import (
     CalibrationInfeasibleError,
     CalibrationReport,
+    CheckResult,
     OutputDomain,
     PrivacyBudget,
     baseline_scale,
     fixed_point_operator,
+    normalizer_ratio,
 )
 from bounded_laplace.mechanism import _log_ratio, _require_scale, _sample_count
 
@@ -169,6 +171,22 @@ def reference_calibrate(domain, budget, tolerance=1e-12, max_iterations=200):
         iterations=iterations,
         effective_epsilon=budget.epsilon - float(_log_ratio(domain, b_star)),
     )
+
+
+def reference_sufficient_condition(mech):
+    """Oracle for ``check_sufficient_condition``: the condition in its exp
+    form, ``exp(eps - sensitivity/b) / ratio(b) + delta >= 1 - 1e-9``, as the
+    check stood before it evaluated ``achieved_epsilon``.  The exp overflows
+    once eps - sensitivity/b passes about 709.78."""
+    d, budget = mech.domain, mech.budget
+    value = (
+        math.exp(budget.epsilon - d.sensitivity / mech.scale)
+        / normalizer_ratio(d, mech.scale)
+        + budget.delta
+    )
+    margin = 1.0 - value
+    return CheckResult("sufficient_condition", bool(margin <= 1e-9), float(margin),
+                       {"value": float(value), "scale": float(mech.scale)})
 
 
 def reference_quantile(mech, q, p):

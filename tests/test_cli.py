@@ -185,6 +185,24 @@ def test_verify_passes_far_from_zero(problem, capsys):
     assert "ratio_monotonicity: PASS" in out
 
 
+def test_verify_passes_on_narrow_domain_at_large_epsilon(capsys):
+    # ratio slopes are per unit of width; per unit of length the rounding
+    # noise of this domain's log normalizers read as a 5.55e-8 margin
+    code, out, err = run_cli(
+        ["verify", "--epsilon", "50", "--lower", "0", "--upper", "0.001",
+         "--sensitivity", "0.0005", "--samples", "0"], capsys)
+    assert (code, err) == (0, "")
+    assert "ratio_monotonicity: PASS" in out
+
+
+def test_verify_epsilon_beyond_exp_range_is_typed_error(capsys):
+    code, out, err = run_cli(
+        ["verify", "--epsilon", "1000", "--lower", "0", "--upper", "1",
+         "--sensitivity", "0.5", "--samples", "0"], capsys)
+    assert (code, out) == (2, "")
+    assert "log(DBL_MAX)" in err
+
+
 def test_verify_csv_report(capsys):
     code, out, _ = run_cli(
         ["verify", *BASE, "--sensitivity", "0.5", "--format", "csv",

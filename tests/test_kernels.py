@@ -63,11 +63,10 @@ def test_numpy_kernel_matches_brute_force():
     for _ in range(10):
         cdf, pa, pb, amp = random_case(rng)
         expected, (ep, ei, ej) = brute_force_single(cdf, pa, pb, amp)
-        got, p, intervals = worst_interval_margin(cdf, pa, pb, amp)
+        got, p, i, j = worst_interval_margin(cdf, pa, pb, amp)
         assert got == pytest.approx(expected, abs=1e-12)
         # oracle uses a different float grouping, so compare margins, not indices
         d = cdf[pa[p]] - amp * cdf[pb[p]]
-        (i, j), = intervals
         assert d[j] - d[i] == got
 
 
@@ -81,7 +80,7 @@ def test_numpy_kernel_matches_quadratic_scan_bitwise():
         for order in (np.arange(pa.size), rng.permutation(pa.size), diagonal):
             best, (p, i, j) = quadratic_single(cdf, pa[order], pb[order], amp)
             assert worst_interval_margin(cdf, pa[order], pb[order], amp) == (
-                best, p, ((i, j),))
+                best, p, i, j)
 
 
 def test_ties_resolve_to_lexicographically_first_witness():
@@ -100,7 +99,7 @@ def test_ties_resolve_to_lexicographically_first_witness():
         tied_pairs += any(p != ep for p, _, _ in ties)
         tied_intervals += any(p == ep and (i, j) != (ei, ej) for p, i, j in ties)
         got = worst_interval_margin(cdf, pa, pb, amp)
-        assert got == (expected, ep, ((ei, ej),))
+        assert got == (expected, ep, ei, ej)
     # the cases exercise ties both across pairs and within the winning pair
     assert tied_pairs > 0 and tied_intervals > 0
 
@@ -112,7 +111,7 @@ def test_ties_across_many_pairs_resolve_to_first_pair():
     # of it far down the pair axis, and the first copy must win
     reps = 40_000
     got = worst_interval_margin(cdf, np.tile(pa, reps), np.tile(pb, reps), amp)
-    assert got == (expected, ep, ((ei, ej),))
+    assert got == (expected, ep, ei, ej)
 
 
 def test_numpy_scan_memory_is_linear_in_pairs():

@@ -27,6 +27,7 @@ from helpers import (
     laplace_mass_quadrature,
     random_problem,
     reference_empirical_counts,
+    reference_sufficient_condition,
     two_interval_margin,
 )
 
@@ -133,6 +134,20 @@ def test_privacy_check_stable_under_grid_refinement():
         assert not check_privacy_inequality(mech_bad, cfg).passed
 
 
+def test_privacy_check_rejects_epsilon_beyond_exp_range(monkeypatch):
+    # e^709 is a finite double, e^710 is not
+    domain = OutputDomain(0.0, 1.0, 0.5)
+    assert check_privacy_inequality(calibrated(domain, PrivacyBudget(709.0)), FAST).passed
+    mech = calibrated(domain, PrivacyBudget(710.0))
+
+    def no_table(*args):
+        raise AssertionError("the CDF table was built")
+
+    monkeypatch.setattr(verification, "_scan_grid", no_table)
+    with pytest.raises(ValueError, match="log\\(DBL_MAX\\)"):
+        check_privacy_inequality(mech, FAST)
+
+
 def test_interval_probabilities_match_quadrature():
     domain = OutputDomain(0.0, 1.0, 0.5)
     mech = CalibratedMechanism(domain, BUDGET, 0.7)
@@ -149,7 +164,7 @@ def test_sufficient_condition_equality_at_fixed_point():
     domain = OutputDomain(0.0, 1.0, 0.5)
     res = check_sufficient_condition(calibrated(domain))
     assert res.passed
-    assert abs(res.witness["value"] - 1.0) <= 1e-9
+    assert abs(res.witness["achieved_epsilon"] - BUDGET.epsilon) <= 1e-9
 
 
 def test_sufficient_condition_gains_slack_above_fixed_point():
@@ -158,7 +173,7 @@ def test_sufficient_condition_gains_slack_above_fixed_point():
     res = check_sufficient_condition(
         CalibratedMechanism(domain, BUDGET, b_star + 0.1))
     assert res.passed
-    assert res.witness["value"] > 1.0
+    assert res.witness["achieved_epsilon"] < BUDGET.epsilon
 
 
 def test_sufficient_condition_fails_at_baseline():
@@ -166,7 +181,31 @@ def test_sufficient_condition_fails_at_baseline():
     res = check_sufficient_condition(
         CalibratedMechanism(domain, BUDGET, baseline_scale(domain, BUDGET)))
     assert not res.passed
-    assert res.witness["value"] < 1.0
+    assert res.witness["achieved_epsilon"] > BUDGET.epsilon
+
+
+def test_sufficient_condition_matches_exp_form_reference():
+    # the exp form restates achieved_epsilon <= eps; off its overflow range
+    # the two give the same verdict, at the fixed point and at the baseline
+    rng = np.random.default_rng(2027)
+    for _ in range(500):
+        lower = rng.uniform(-1e3, 1e3)
+        width = 10.0 ** rng.uniform(-3.0, 3.0)
+        domain = OutputDomain(lower, lower + width, width * 10.0 ** rng.uniform(-4.0, 0.0))
+        budget = PrivacyBudget(10.0 ** rng.uniform(-8.0, 2.8),
+                               float(rng.choice([0.0, 1e-6, 0.1, 0.9])))
+        for b in (calibrate(domain, budget).b_star, baseline_scale(domain, budget)):
+            mech = CalibratedMechanism(domain, budget, b)
+            assert (check_sufficient_condition(mech).passed
+                    == reference_sufficient_condition(mech).passed), (domain, budget, b)
+
+
+def test_sufficient_condition_at_epsilon_beyond_exp_range():
+    # exp(eps - sensitivity/b) overflows here; achieved_epsilon is 0.075
+    mech = CalibratedMechanism(OutputDomain(0.0, 1.0, 0.5), PrivacyBudget(1000.0), 10.0)
+    res = check_sufficient_condition(mech)
+    assert res.passed
+    assert res.witness["achieved_epsilon"] == pytest.approx(0.075, abs=1e-3)
 
 
 # --------------------------------------------------------- ratio monotonicity
@@ -228,6 +267,36 @@ def test_ratio_monotonicity_survives_rounding_of_q_plus_z(family):
             assert res.passed, (domain, budget, b, res)
 
 
+def test_ratio_monotonicity_far_domains_any_budget():
+    # 800 checks; with slopes per unit of length rather than of width, the
+    # narrow domains among them failed falsely
+    rng = np.random.default_rng(43)
+    for _ in range(400):
+        lower = rng.uniform(-1e6, 1e6)
+        width = 10.0 ** rng.uniform(-3.0, 3.0)
+        domain = OutputDomain(lower, lower + width, width * rng.uniform(0.05, 1.0))
+        budget = PrivacyBudget(10.0 ** rng.uniform(-2.0, 3.0))
+        for b in (calibrate(domain, budget).b_star, baseline_scale(domain, budget)):
+            res = check_ratio_monotonicity(domain, b)
+            assert res.passed, (domain, budget, b, res)
+
+
+@pytest.mark.parametrize("domain, budget", [
+    (OutputDomain(0.0, 0.001, 0.0005), PrivacyBudget(50.0)),
+    (OutputDomain(0.0, 0.001, 0.0005), BUDGET),
+    (OutputDomain(0.0, 1.0, 0.5), BUDGET),
+])
+def test_ratio_monotonicity_fails_for_broken_normalizer(domain, budget, monkeypatch):
+    # C(q + z) evaluated at a scale one part in 1e4 too large; slopes taken
+    # per unit of width must still expose it on a narrow domain
+    inside_mass = verification._inside_mass
+    monkeypatch.setattr(verification, "_inside_mass",
+                        lambda left, right, b: inside_mass(left, right, 1.0001 * b))
+    res = check_ratio_monotonicity(domain, calibrate(domain, budget).b_star)
+    assert not res.passed
+    assert res.worst_margin > 1e3 * verification.FD_SLACK
+
+
 def test_ratio_monotonicity_stable_under_grid_refinement():
     domain = OutputDomain(0.0, 2.0, 0.7)
     for grid in (40, 80):
@@ -285,18 +354,18 @@ def test_empirical_estimate_identical_queries_near_zero():
     domain = OutputDomain(0.0, 1.0, 0.5)
     mech = calibrated(domain)
     est = empirical_privacy_estimate(mech, 0.4, 0.4, samples=200_000,
-                                     rng=np.random.default_rng(8))
-    assert est.reliable
-    assert abs(est.estimate) <= 0.15
+                                     rng=np.random.default_rng(8)).witness
+    assert est["reliable"]
+    assert abs(est["estimate"]) <= 0.15
 
 
 def test_empirical_estimate_bounded_by_epsilon_when_calibrated():
     domain = OutputDomain(0.0, 1.0, 0.5)
     mech = calibrated(domain)
     est = empirical_privacy_estimate(mech, 0.0, 0.5, samples=1_000_000,
-                                     rng=np.random.default_rng(15))
-    assert est.reliable
-    assert est.estimate <= BUDGET.epsilon + 0.05
+                                     rng=np.random.default_rng(15)).witness
+    assert est["reliable"]
+    assert est["estimate"] <= BUDGET.epsilon + 0.05
 
 
 def test_empirical_estimate_catches_miscalibration():
@@ -304,20 +373,20 @@ def test_empirical_estimate_catches_miscalibration():
     b_bad = baseline_scale(domain, BUDGET) / 2.0
     mech = CalibratedMechanism(domain, BUDGET, b_bad)
     est = empirical_privacy_estimate(mech, 0.0, 0.5, samples=1_000_000,
-                                     rng=np.random.default_rng(23))
+                                     rng=np.random.default_rng(23)).witness
     # pointwise analytic oracle for the worst log density ratio
     xs = np.linspace(0.0, 1.0, 4001)
     oracle = np.max(np.log(mech.pdf(0.0, xs)) - np.log(mech.pdf(0.5, xs)))
-    assert est.estimate > BUDGET.epsilon + 0.2
-    assert est.estimate == pytest.approx(oracle, abs=0.15)
+    assert est["estimate"] > BUDGET.epsilon + 0.2
+    assert est["estimate"] == pytest.approx(oracle, abs=0.15)
 
 
 def test_empirical_estimate_flags_unreliable_runs():
     domain = OutputDomain(0.0, 1.0, 0.5)
     mech = calibrated(domain)
     est = empirical_privacy_estimate(mech, 0.0, 0.5, samples=100,
-                                     rng=np.random.default_rng(4))
-    assert not est.reliable
+                                     rng=np.random.default_rng(4)).witness
+    assert not est["reliable"]
 
 
 def test_empirical_estimate_rejects_distant_pair():
@@ -421,6 +490,15 @@ def test_run_all_checks_passes_when_calibrated():
         "fixed_point_properties",
         "empirical_privacy",
     ]
+
+
+def test_run_all_checks_ends_with_empirical_estimate():
+    domain = OutputDomain(0.0, 1.0, 0.5)
+    report = run_all_checks(domain, BUDGET, config=FAST,
+                            rng=np.random.default_rng(42), samples=200_000)
+    mech = calibrated(domain)
+    assert report.checks[-1] == empirical_privacy_estimate(
+        mech, *domain.worst_case_pair(), samples=200_000, rng=np.random.default_rng(42))
 
 
 def test_run_all_checks_on_domain_far_from_zero():
