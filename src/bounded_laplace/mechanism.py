@@ -225,65 +225,96 @@ class CalibratedMechanism:
         """Inverse of :meth:`cdf` in p, evaluated piecewise around q.
 
         Accepts p in [0, 1] (scalar or array); p = 0 and p = 1 map exactly
-        to the domain edges.
+        to the domain edges.  Broadcasts over q and p, and never writes to p.
         """
         qa = self.domain.require_query(q)
         pa = np.asarray(p, dtype=float)
         if np.any(~np.isfinite(pa)) or np.any((pa < 0.0) | (pa > 1.0)):
             raise ValueError(f"probability must lie in [0, 1], got {p!r}")
+        buffers = _quantile_buffers(np.broadcast(qa, pa).shape)
         with np.errstate(divide="ignore"):  # log(0) at p = 0 or 1, mapped below
-            out = self._quantile(qa, pa)
+            out = self._quantile(qa, pa, buffers)
         np.copyto(out, self.domain.lower, where=pa == 0.0)
         np.copyto(out, self.domain.upper, where=pa == 1.0)
         return float(out) if out.ndim == 0 else out
 
-    def _quantile(self, qa, pa):
-        """:meth:`quantile` on validated arrays, built in two output buffers.
+    def _quantile(self, qa, pa, buffers):
+        """:meth:`quantile` on validated arrays, built in ``buffers``.
 
         Below q it inverts the lower tail mass of :meth:`cdf`,
         ``x = lower + b log1p(2 p C e^{(q-lower)/b})``; above q, the mirror
         image from the upper edge with ``1 - p``.  Where the width exceeds
         700 scales, so that ``e^{(q-edge)/b}`` could overflow, the same inverse
         is anchored at q, ``x = q + b log(e^{-(q-lower)/b} + 2 p C)``.
+
+        ``buffers`` is ``(out, above, mask)`` from :func:`_quantile_buffers`,
+        each of the broadcast shape; ``out`` may be ``pa`` itself, which is
+        then overwritten.  Only the branches that some p falls in are
+        evaluated, the result is built in ``out``, and ``out`` is returned.
+        When both branches are needed, the upper one is built in ``above``
+        and merged by a bitwise select on int64 views: the same bits as a
+        masked copy, without the copy's branch mispredictions on a random mask.
         """
+        out, above, mask = buffers
         d, b = self.domain, self.scale
         qa = qa[()]  # a 0-d query becomes a scalar, which is faster to work on
         c = _normalizer(d, qa, b)
         a_lo, a_hi = (qa - d.lower) / b, (d.upper - qa) / b
         if d.width <= 700.0 * b:
-            log, anchors, shifts = np.log1p, (d.lower, d.upper), (0.0, 0.0)
+            log, anchors, shifts = np.log1p, (d.lower, d.upper), (None, None)
             gains = (2.0 * c * np.exp(a_lo), 2.0 * c * np.exp(a_hi))
         else:
             log, anchors, shifts = np.log, (qa, qa), (np.exp(-a_lo), np.exp(-a_hi))
             gains = (2.0 * c, 2.0 * c)
-        use_below = pa <= -0.5 * np.expm1(-a_lo) / c  # p <= F(q)
-        below = np.asarray(pa * gains[0])
-        above = np.subtract(1.0, pa, out=np.empty_like(below))
-        above *= gains[1]
-        for t, anchor, shift, scale in zip((below, above), anchors, shifts, (b, -b)):
-            t += shift
+        np.less_equal(pa, -0.5 * np.expm1(-a_lo) / c, out=mask)  # p <= F(q)
+        n_below = np.count_nonzero(mask)
+        both = 0 < n_below < mask.size
+        branches = []
+        if n_below < mask.size:  # the upper branch first: out may hold p
+            t = np.subtract(1.0, pa, out=above if both else out)
+            t *= gains[1]
+            branches.append((t, anchors[1], shifts[1], -b))
+        if n_below:
+            branches.append((np.multiply(pa, gains[0], out=out), anchors[0], shifts[0], b))
+        for t, anchor, shift, scale in branches:
+            if shift is not None:
+                t += shift
             log(t, out=t)
             t *= scale
             t += anchor
-        np.copyto(above, below, where=use_below)
-        return np.clip(above, d.lower, d.upper, out=above)
+        if both:  # above ^ ((out ^ above) & mask), the mask widened to all-ones
+            bits, other, select = out.view(np.int64), above.view(np.int64), mask.view(np.int8)
+            np.negative(select, out=select)
+            bits ^= other
+            bits &= select
+            bits ^= other
+        return np.clip(out, d.lower, d.upper, out=out)
 
     def sample_inverse(self, q, rng, size=None):
         """Inverse-transform sample(s) using uniforms from the open (0, 1).
 
         Exact zeros from the generator are redrawn so p = 0 can never leak a
-        domain endpoint.  Returns a float for ``size=None``, else an array.
+        domain endpoint.  Returns a float for ``size=None``, else a fresh array.
         """
         n = _sample_count(size)
         qa = self.domain.require_query(q)
-        u = rng.random(n)
-        while True:
-            zero = u == 0.0
-            if not zero.any():
-                break
-            u[zero] = rng.random(int(zero.sum()))
-        x = self._quantile(qa, u)
+        x = self._fill_inverse(qa, rng, _quantile_buffers(n))
         return float(x[0]) if size is None else x
+
+    def _fill_inverse(self, qa, rng, buffers):
+        """:meth:`sample_inverse` at a validated query, into ``buffers``.
+
+        Draws the uniforms into ``out``, the first of the 1-d ``buffers``
+        (see :meth:`_quantile`), and transforms them there in place, so a
+        caller that passes the same buffers for every block allocates
+        nothing per block.  Returns ``out``.
+        """
+        u = buffers[0]
+        rng.random(out=u)
+        while np.minimum.reduce(u) == 0.0:
+            zero = u == 0.0
+            u[zero] = rng.random(np.count_nonzero(zero))
+        return self._quantile(qa, u, buffers)
 
     def sample_rejection(self, q, rng, size=None):
         """Redraw unbounded Laplace(q, scale) until a draw lands in the domain.
@@ -314,6 +345,11 @@ class CalibratedMechanism:
         if size is None:
             return float(values[0]), int(draws[0])
         return values, draws
+
+
+def _quantile_buffers(shape):
+    """Fresh ``(out, above, mask)`` scratch of ``shape`` for ``_quantile``."""
+    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
 
 
 def _sample_count(size):

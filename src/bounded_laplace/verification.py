@@ -28,8 +28,8 @@ import numpy as np
 
 from ._kernels import worst_interval_margin
 from .calibration import achieved_epsilon, baseline_scale, calibrate, fixed_point_operator
-from .mechanism import (CalibratedMechanism, _inside_mass, _normalizer, _require_scale,
-                        normalizer_ratio)
+from .mechanism import (CalibratedMechanism, _inside_mass, _normalizer, _quantile_buffers,
+                        _require_scale, normalizer_ratio)
 
 __all__ = [
     "PrivacyCheckConfig",
@@ -60,9 +60,11 @@ EMPIRICAL_SLACK = 0.05
 # need in a bin for it to enter the estimate.
 EMPIRICAL_BINS = 50
 EMPIRICAL_FLOOR = 10
-# Draws counted at a time by the empirical estimate.  A block of float64
-# draws is 512 KB, so it stays in cache while it is sorted and searched, and
-# the estimate's memory does not grow with the sample count.
+# Draws made and counted at a time by the empirical estimate.  A block of
+# float64 draws is 512 KB, so it stays in cache while it is sorted and
+# searched.  Every block reuses buffers allocated once per query, so the
+# block loop allocates no block-sized array and the estimate's memory does
+# not grow with the sample count.
 EMPIRICAL_BLOCK = 65_536
 
 
@@ -303,16 +305,20 @@ def _sampled_counts(mech, q, rng, samples, edges):
     """Histogram over ``edges`` of ``samples`` inverse-transform draws at q,
     drawn and counted ``EMPIRICAL_BLOCK`` at a time.
 
-    Each block is sorted in place and the edges are located in it by binary
-    search, as ``np.histogram`` does for explicit edges but without its copy
-    of the block: ``cum[k]`` counts the draws below ``edges[k]``, and the last
-    entry those up to and including ``edges[-1]``, so every bin is half-open
-    except the last, which is closed.
+    Every block is drawn into the same buffers, allocated once, and sorted
+    there; the edges are located in it by binary search, as ``np.histogram``
+    does for explicit edges but without its copy of the block: ``cum[k]``
+    counts the draws below ``edges[k]``, and the last entry those up to and
+    including ``edges[-1]``, so every bin is half-open except the last,
+    which is closed.
     """
+    qa = np.asarray(q, dtype=float)
+    buffers = _quantile_buffers(min(EMPIRICAL_BLOCK, samples))
     cum = np.zeros(edges.size, dtype=np.intp)
     for start in range(0, samples, EMPIRICAL_BLOCK):
-        block = mech.sample_inverse(q, rng, size=min(EMPIRICAL_BLOCK, samples - start))
-        block.sort()  # sample_inverse returns a fresh array, ours to reorder
+        size = min(EMPIRICAL_BLOCK, samples - start)
+        block = mech._fill_inverse(qa, rng, [buf[:size] for buf in buffers])
+        block.sort()
         cum[:-1] += block.searchsorted(edges[:-1], "left")
         cum[-1:] += block.searchsorted(edges[-1:], "right")
     return np.diff(cum)
@@ -330,12 +336,13 @@ def empirical_privacy_estimate(mech, q, q_prime, samples: int = 1_000_000,
     half the bins qualify, and the check fails only for a reliable estimate
     more than ``EMPIRICAL_SLACK`` above epsilon.
 
-    The draws are counted in blocks of ``EMPIRICAL_BLOCK``, each sorted in
-    place, so working memory is O(block + bins) whatever ``samples`` is.  The
-    counts are those of ``np.histogram`` over ``edges``.  The blocks continue
-    one generator stream, so the counts equal those of drawing all samples at
-    once (unless the generator returns an exact 0.0, whose redraw then comes
-    from a later stream position).
+    The draws are made and counted in blocks of ``EMPIRICAL_BLOCK``, each
+    sampled into buffers allocated once per query and sorted there, so
+    working memory is O(block + bins) whatever ``samples`` is.  The counts
+    are those of ``np.histogram`` over ``edges`` of ``sample_inverse``
+    draws.  The blocks continue one generator stream, so the counts equal
+    those of drawing all samples at once (unless the generator returns an
+    exact 0.0, whose redraw then comes from a later stream position).
     """
     d = mech.domain
     q = float(d.require_query(q))

@@ -379,6 +379,30 @@ def test_sample_inverse_is_reference_quantile_of_its_uniforms():
         mech.sample_inverse(-0.1, np.random.default_rng(7), size=10)
 
 
+def test_quantile_and_sampler_never_write_callers_arrays():
+    mech = unit_mech(scale=0.45)
+    rng = np.random.default_rng(12)
+    bulk = rng.random(10_000)
+    cases = [
+        (0.0, bulk),                                 # every p above q: one branch
+        (0.3, np.concatenate([bulk, [0.0, 1.0]])),   # a mixed mask
+        (np.array([0.0, 0.3, 1.0])[:, None], bulk[None, :500]),  # broadcast
+    ]
+    for q, p in cases:
+        arrays = [a for a in (q, p) if isinstance(a, np.ndarray)]
+        saved = [a.copy() for a in arrays]
+        for a in arrays:
+            a.flags.writeable = False  # an in-place write raises
+        got = mech.quantile(q, p)
+        assert got.shape == np.broadcast_shapes(np.shape(q), p.shape)
+        assert not any(np.shares_memory(got, a) for a in arrays)
+        for a, before in zip(arrays, saved):
+            assert np.array_equal(a, before)
+    a = mech.sample_inverse(0.3, rng, size=1_000)
+    b = mech.sample_inverse(0.3, rng, size=1_000)
+    assert a is not b and not np.shares_memory(a, b)
+
+
 # ------------------------------------------------------------------ samplers
 
 

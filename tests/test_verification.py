@@ -424,17 +424,37 @@ def test_empirical_estimate_blocks_match_one_shot_draws(domain, budget, samples,
     assert repr(est) == repr(ref)  # repr: NaN estimates compare equal too
 
 
+@pytest.mark.parametrize("domain, scale, q", [
+    (OutputDomain(0.0, 1.0, 0.5), 0.7, 0.0),    # q at the lower edge: one branch
+    (OutputDomain(0.0, 1.0, 0.5), 0.7, 0.3),    # q inside: both branches
+    (OutputDomain(0.0, 1.0, 0.5), 1e-3, 0.4),   # width above 700 scales: log form
+])
+def test_sampled_counts_equal_histogram_of_sample_inverse(domain, scale, q):
+    # a partial block follows two full ones, so a stale tail of the reused
+    # buffers would be counted
+    mech = CalibratedMechanism(domain, BUDGET, scale)
+    samples = 2 * verification.EMPIRICAL_BLOCK + 123
+    edges = np.linspace(domain.lower, domain.upper, 51)
+    got = _sampled_counts(mech, q, np.random.default_rng(17), samples, edges)
+    draws = mech.sample_inverse(q, np.random.default_rng(17), size=samples)
+    want = np.histogram(draws, edges)[0]
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    below = np.count_nonzero(draws < q)
+    assert (below == 0) if q == domain.lower else (0 < below < samples)
+
+
 class _ReplaySampler:
-    """Stands in for a mechanism whose ``sample_inverse`` hands out the next
-    ``size`` entries of a fixed array, each time as a fresh array."""
+    """Stands in for a mechanism whose ``_fill_inverse`` writes the next
+    entries of a fixed array into the buffer it is given."""
 
     def __init__(self, values):
         self.values = values
         self.served = 0
 
-    def sample_inverse(self, q, rng, size):
-        out = self.values[self.served:self.served + size].copy()
-        self.served += size
+    def _fill_inverse(self, qa, rng, buffers):
+        out = buffers[0]
+        out[:] = self.values[self.served:self.served + out.size]
+        self.served += out.size
         return out
 
 
