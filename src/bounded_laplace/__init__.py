@@ -33,7 +33,6 @@ from .mechanism import (
 )
 from .verification import (
     CheckResult,
-    PrivacyCheckConfig,
     VerificationReport,
     check_fixed_point_properties,
     check_privacy_inequality,
@@ -54,7 +53,6 @@ __all__ = [
     "CheckResult",
     "OutputDomain",
     "PrivacyBudget",
-    "PrivacyCheckConfig",
     "SweepCell",
     "UnsatisfiableBudgetError",
     "VerificationReport",

@@ -28,7 +28,9 @@ def worst_interval_margin(cdf, pair_a, pair_b, amp):
     ``[x_i, x_j]`` for the query pair ``pair_index``.  Ties between equal
     margins go to the lexicographically first ``(pair_index, i, j)``, and the
     margin is the float difference ``d[j] - d[i]`` of the two entries it
-    names.
+    names.  Raises ``ValueError`` for a table with fewer than 2 columns and
+    for empty, unequal or out-of-range pair indices, then makes the one pass
+    over the columns that the module docstring describes.
     """
     cdf = np.ascontiguousarray(cdf, dtype=np.float64)
     pair_a = np.ascontiguousarray(pair_a, dtype=np.int64)
@@ -41,10 +43,6 @@ def worst_interval_margin(cdf, pair_a, pair_b, amp):
     for arr in (pair_a, pair_b):
         if arr.min() < 0 or arr.max() >= cdf.shape[0]:
             raise ValueError("pair indices out of range")
-    return _single_margin_numpy(cdf, pair_a, pair_b, amp)
-
-
-def _single_margin_numpy(cdf, pair_a, pair_b, amp):
     # One pass over the grid columns with three length-pairs vectors, plus
     # one scratch: ``d`` (this column), ``low`` = min(d[:j]) and ``best`` =
     # the best d[j] - low so far.  min and max are exact, so each gain is the
@@ -58,8 +56,8 @@ def _single_margin_numpy(cdf, pair_a, pair_b, amp):
     low = cols[0, pair_a] - scaled[0, pair_b]
     best = np.full(pair_a.size, -np.inf)
     for col, col_scaled in zip(cols[1:], scaled[1:]):
-        # indices were range-checked by the caller; mode="clip" lets take
-        # write straight into ``out`` instead of buffering
+        # indices were range-checked above; mode="clip" lets take write
+        # straight into ``out`` instead of buffering
         np.take(col, pair_a, out=d, mode="clip")
         np.subtract(d, np.take(col_scaled, pair_b, out=tmp, mode="clip"), out=d)
         np.maximum(best, np.subtract(d, low, out=tmp), out=best)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .calibration import calibrate, epsilon_ratio_grid
 from .mechanism import CalibratedMechanism, OutputDomain, PrivacyBudget, sample_truncated
-from .verification import PrivacyCheckConfig, run_all_checks
+from .verification import EMPIRICAL_SAMPLES, SCAN_GRID, run_all_checks
 
 
 def _fmt(x) -> str:
@@ -89,10 +89,9 @@ def _cmd_sample(args) -> int:
 def _cmd_verify(args) -> int:
     domain, budget = _domain_budget(args)
     scale = args.b if args.b is not None else calibrate(domain, budget).b_star
-    config = PrivacyCheckConfig(q_grid_size=args.q_grid, set_grid_size=args.set_grid)
     rng = _make_rng(args.seed) if args.samples else None
-    report = run_all_checks(domain, budget, scale=scale, config=config,
-                            rng=rng, samples=args.samples)
+    report = run_all_checks(domain, budget, scale=scale, q_grid=args.q_grid,
+                            set_grid=args.set_grid, rng=rng, samples=args.samples)
     if args.format == "json":
         out = report.to_dict()
         out["scale"] = float(scale)
@@ -180,9 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, default=None,
                    help="scale override (default: calibrate); pass the "
                         "baseline scale to reproduce the non-guarantee")
-    p.add_argument("--q-grid", type=int, default=200, dest="q_grid")
-    p.add_argument("--set-grid", type=int, default=200, dest="set_grid")
-    p.add_argument("--samples", type=int, default=1_000_000,
+    p.add_argument("--q-grid", type=int, default=SCAN_GRID, dest="q_grid")
+    p.add_argument("--set-grid", type=int, default=SCAN_GRID, dest="set_grid")
+    p.add_argument("--samples", type=int, default=EMPIRICAL_SAMPLES,
                    help="empirical-check sample count (0 skips it)")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_verify)

@@ -16,6 +16,9 @@ monotone in the output, so the worst set is an interval.  The grid check is
 a sound falsifier: any witness it reports is a real violation, but a pass is
 strong evidence rather than a proof.
 
+Grid sizes and the sample count are plain ints defaulting to ``SCAN_GRID``
+and ``EMPIRICAL_SAMPLES``, as the CLI's flags do; all else is a constant.
+
 Checks are pure given their inputs; the empirical estimator takes its own
 random generator.
 """
@@ -32,7 +35,6 @@ from .mechanism import (CalibratedMechanism, _inside_mass, _normalizer, _quantil
                         _require_scale, normalizer_ratio)
 
 __all__ = [
-    "PrivacyCheckConfig",
     "CheckResult",
     "VerificationReport",
     "privacy_loss_log_ratio",
@@ -44,16 +46,28 @@ __all__ = [
     "run_all_checks",
 ]
 
-# Slack on the privacy inequality (added to delta) and on the sufficient
-# condition; absorbs the rounding of the closed-form masses.
+# Points of the privacy scan's query grid and of its output-set grid.
+SCAN_GRID = 200
+# Slack on the privacy inequality, added to delta; absorbs the rounding of
+# the closed-form masses.  It also caps the sufficient condition's allowance.
 PRIVACY_SLACK = 1e-9
+# The sufficient condition's allowance in units of u * eps', with u = 2**-53
+# and eps' = eps - log1p(-delta).  Evaluating achieved_epsilon errs by at most
+# 4u * eps' (s/b, log R, their sum, log1p(-delta), the last sum).  calibrate's
+# b_star lies at most one ulp (2u) below the exact root, and b times
+# achieved_epsilon(b) does not decrease in b, so it adds at most 2u * eps'.
+SUFFICIENT_ROUNDING = 6
 # Central-difference step, relative to the natural scale of the variable.
 FD_STEP = 1e-6
 # Slack for finite-difference sign checks; absorbs the cancellation noise of
 # double-precision differences at FD_STEP-sized steps.
 FD_SLACK = 1e-8
+# Points of each axis of the (q, z) grid of the ratio-monotonicity check.
+MONOTONICITY_GRID = 64
 # Log-spaced scales at which the fixed-point slopes are differenced.
 FIXED_POINT_GRID = 40
+# Draws per query of the empirical estimate.
+EMPIRICAL_SAMPLES = 1_000_000
 # Absolute slack allowed on the empirical max log-ratio estimate.
 EMPIRICAL_SLACK = 0.05
 # Equal-width bins of the empirical estimate, and the count both queries
@@ -66,23 +80,6 @@ EMPIRICAL_FLOOR = 10
 # block loop allocates no block-sized array and the estimate's memory does
 # not grow with the sample count.
 EMPIRICAL_BLOCK = 65_536
-
-
-@dataclass(frozen=True)
-class PrivacyCheckConfig:
-    """Grid resolution of the brute-force privacy check.
-
-    The queries are a ``q_grid_size`` grid over the domain, and the output
-    sets searched are the single intervals between points of a
-    ``set_grid_size`` grid.  The tolerance is fixed at ``PRIVACY_SLACK``.
-    """
-
-    q_grid_size: int = 200
-    set_grid_size: int = 200
-
-    def __post_init__(self):
-        if self.q_grid_size < 2 or self.set_grid_size < 2:
-            raise ValueError("grid sizes must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -120,12 +117,14 @@ def _pair_tolerance(domain):
     return 8.0 * np.spacing(max(abs(domain.lower), abs(domain.upper), domain.width))
 
 
-def _scan_grid(mech, config):
+def _scan_grid(mech, q_grid, set_grid):
     """Query grid ``qs``, set grid ``xs``, the table ``cdf[r, k] = F_{qs[r]}(xs[k])``
     and the admissible pairs ``(pair_a, pair_b)`` of rows of the privacy scan."""
+    if q_grid < 2 or set_grid < 2:
+        raise ValueError("grid sizes must be at least 2")
     d = mech.domain
-    qs = np.linspace(d.lower, d.upper, config.q_grid_size)
-    xs = np.linspace(d.lower, d.upper, config.set_grid_size)
+    qs = np.linspace(d.lower, d.upper, q_grid)
+    xs = np.linspace(d.lower, d.upper, set_grid)
     cdf = mech.cdf(qs[:, None], xs[None, :])
     pair_a, pair_b = np.nonzero(
         np.abs(qs[:, None] - qs[None, :]) <= d.sensitivity + _pair_tolerance(d)
@@ -133,27 +132,28 @@ def _scan_grid(mech, config):
     return qs, xs, cdf, pair_a, pair_b
 
 
-def check_privacy_inequality(mech, config=None) -> CheckResult:
+def check_privacy_inequality(mech, q_grid: int = SCAN_GRID,
+                             set_grid: int = SCAN_GRID) -> CheckResult:
     """Brute-force the DP inequality over grids of query pairs and intervals.
 
-    For every grid pair (q, q') within one sensitivity of each other and
+    Queries form a ``q_grid`` grid, output sets the intervals of a ``set_grid``
+    grid.  For every grid pair (q, q') within one sensitivity of each other and
     every grid interval A, asserts
     ``P(W_q in A) - e^eps * P(W_q' in A) <= delta + PRIVACY_SLACK`` using
     closed-form CDF differences for the interval probabilities.  The worst margin and
     the point achieving it are recorded either way.
 
-    Raises ``ValueError``, before any CDF is evaluated, when eps exceeds
-    log(DBL_MAX): e^eps is then not a finite double, and CDF entries far
-    from q' underflow to 0, so no clamped e^eps would give a sound verdict.
+    Raises ``ValueError`` for a grid below 2 points, and, before any CDF is
+    evaluated, for eps above log(DBL_MAX): e^eps is then not a finite double,
+    and CDF entries far from q' underflow to 0, so no clamped e^eps is sound.
     """
-    config = config or PrivacyCheckConfig()
     budget = mech.budget
     eps_limit = math.log(sys.float_info.max)
     if budget.epsilon > eps_limit:
         raise ValueError(
             f"the grid privacy check needs a finite e^epsilon: epsilon "
             f"{budget.epsilon} exceeds log(DBL_MAX) = {eps_limit}")
-    qs, xs, cdf, pair_a, pair_b = _scan_grid(mech, config)
+    qs, xs, cdf, pair_a, pair_b = _scan_grid(mech, q_grid, set_grid)
     raw, pair_idx, i, j = worst_interval_margin(
         cdf, pair_a, pair_b, math.exp(budget.epsilon))
     margin = raw - budget.delta
@@ -170,16 +170,18 @@ def check_privacy_inequality(mech, config=None) -> CheckResult:
 def check_sufficient_condition(mech) -> CheckResult:
     """Evaluate the scalar sufficient condition for privacy at the mechanism's scale.
 
-    The margin is ``achieved_epsilon(b) - eps``, and the check passes iff it
-    is at most ``PRIVACY_SLACK``: the margin sits at 0 when b is the
-    calibrated fixed point and falls as b grows.
+    The margin is ``achieved_epsilon(b) - eps``: it sits at 0 when b is the
+    calibrated fixed point and falls as b grows.  The check passes iff it is
+    at most ``SUFFICIENT_ROUNDING * 2**-53 * eps'``, capped at ``PRIVACY_SLACK``.
     """
     budget = mech.budget
     achieved = achieved_epsilon(mech.domain, mech.scale, budget.delta)
     margin = achieved - budget.epsilon
+    eps_prime = budget.epsilon - math.log1p(-budget.delta)
+    allowance = min(SUFFICIENT_ROUNDING * 2.0**-53 * eps_prime, PRIVACY_SLACK)
     witness = {"achieved_epsilon": float(achieved), "epsilon": float(budget.epsilon),
                "scale": float(mech.scale)}
-    return CheckResult("sufficient_condition", bool(margin <= PRIVACY_SLACK),
+    return CheckResult("sufficient_condition", bool(margin <= allowance),
                        float(margin), witness)
 
 
@@ -213,19 +215,18 @@ def privacy_loss_log_ratio(domain, b, q, z):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def check_ratio_monotonicity(domain, b, grid: int = 64) -> CheckResult:
+def check_ratio_monotonicity(domain, b) -> CheckResult:
     """Finite-difference sign check of the privacy-loss ratio surface.
 
-    On a grid of (q, z) with q + z inside the domain, the ratio
-    (C(q+z)/C(q)) e^(z/b) must be nondecreasing in z and nonincreasing in q;
-    both slopes are measured by central differences of the log ratio with a
-    step of ``FD_STEP`` times the domain width, and taken per unit of width
-    (multiplied by it), so ``FD_SLACK`` bounds the same rounding noise on
-    every domain.
+    On a square ``MONOTONICITY_GRID`` grid of (q, z) with q + z inside the
+    domain, the ratio (C(q+z)/C(q)) e^(z/b) must be nondecreasing in z and
+    nonincreasing in q; both slopes are measured by central differences of
+    the log ratio with a step of ``FD_STEP`` times the domain width, and
+    taken per unit of width (multiplied by it), so ``FD_SLACK`` bounds the
+    same rounding noise on every domain.
     """
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
     b = _require_scale(b)
+    grid = MONOTONICITY_GRID
     h = FD_STEP * domain.width
     qs = np.linspace(domain.lower + h, domain.upper - 2.0 * h, grid)
     t = np.linspace(0.0, 1.0, grid)
@@ -324,7 +325,7 @@ def _sampled_counts(mech, q, rng, samples, edges):
     return np.diff(cum)
 
 
-def empirical_privacy_estimate(mech, q, q_prime, samples: int = 1_000_000,
+def empirical_privacy_estimate(mech, q, q_prime, samples: int = EMPIRICAL_SAMPLES,
                                rng=None) -> CheckResult:
     """Monte-Carlo sanity check complementing the analytic privacy check.
 
@@ -374,20 +375,21 @@ def empirical_privacy_estimate(mech, q, q_prime, samples: int = 1_000_000,
                        float(margin), witness)
 
 
-def run_all_checks(domain, budget, scale=None, config=None, rng=None,
-                   samples: int = 1_000_000) -> VerificationReport:
+def run_all_checks(domain, budget, scale=None, q_grid: int = SCAN_GRID,
+                   set_grid: int = SCAN_GRID, rng=None,
+                   samples: int = EMPIRICAL_SAMPLES) -> VerificationReport:
     """Run the full check suite against one mechanism.
 
     ``scale=None`` calibrates first; passing the baseline scale instead is
-    the canonical way to reproduce the non-guarantee.  ``samples=0`` skips
-    the empirical estimate, which runs on the worst-case pair.
+    the canonical way to reproduce the non-guarantee.  ``q_grid`` and
+    ``set_grid`` size the grid check.  ``samples=0`` skips the empirical
+    estimate, which runs on the worst-case pair.
     """
-    config = config or PrivacyCheckConfig()
     if scale is None:
         scale = calibrate(domain, budget).b_star
     mech = CalibratedMechanism(domain, budget, scale)
     checks = [
-        check_privacy_inequality(mech, config),
+        check_privacy_inequality(mech, q_grid, set_grid),
         check_sufficient_condition(mech),
         check_ratio_monotonicity(domain, mech.scale),
         check_fixed_point_properties(domain, budget),

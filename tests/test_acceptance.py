@@ -17,7 +17,6 @@ from bounded_laplace import (
     CalibratedMechanism,
     OutputDomain,
     PrivacyBudget,
-    PrivacyCheckConfig,
     baseline_scale,
     calibrate,
     check_fixed_point_properties,
@@ -87,7 +86,7 @@ def test_criterion_2_fixed_point_correctness():
 
 
 def test_criterion_3_non_guarantee_reproduction():
-    config = PrivacyCheckConfig(q_grid_size=200, set_grid_size=200)
+    grids = {"q_grid": 200, "set_grid": 200}
     budget = PrivacyBudget(1.0, 0.0)
     failures = []
     t0 = time.perf_counter()
@@ -95,13 +94,13 @@ def test_criterion_3_non_guarantee_reproduction():
         domain = OutputDomain(0.0, 1.0, frac)
         b0 = baseline_scale(domain, budget)
         bad = check_privacy_inequality(
-            CalibratedMechanism(domain, budget, b0), config)
+            CalibratedMechanism(domain, budget, b0), **grids)
         if bad.worst_margin <= 1e-6:
             failures.append(f"frac {frac}: no violation at baseline "
                             f"(margin {bad.worst_margin:.3e})")
         b_star = calibrate(domain, budget).b_star
         good = check_privacy_inequality(
-            CalibratedMechanism(domain, budget, b_star), config)
+            CalibratedMechanism(domain, budget, b_star), **grids)
         if good.worst_margin > 1e-9:
             failures.append(f"frac {frac}: violation at calibrated scale "
                             f"(margin {good.worst_margin:.3e})")

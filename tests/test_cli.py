@@ -6,7 +6,8 @@ import json
 import pytest
 
 from bounded_laplace import OutputDomain, PrivacyBudget, calibrate
-from bounded_laplace.cli import main
+from bounded_laplace.cli import build_parser, main
+from bounded_laplace.verification import EMPIRICAL_SAMPLES, SCAN_GRID
 
 
 BASE = ["--epsilon", "1", "--delta", "0", "--lower", "0", "--upper", "1"]
@@ -202,6 +203,30 @@ def test_verify_epsilon_beyond_exp_range_is_typed_error(capsys):
          "--sensitivity", "0.5", "--samples", "0"], capsys)
     assert (code, out) == (2, "")
     assert "log(DBL_MAX)" in err
+
+
+def test_verify_grid_and_sample_defaults_are_the_library_constants():
+    args = build_parser().parse_args(["verify", *BASE, "--sensitivity", "0.5"])
+    assert args.q_grid == args.set_grid == SCAN_GRID
+    assert args.samples == EMPIRICAL_SAMPLES
+
+
+@pytest.mark.parametrize("flag", ["--q-grid", "--set-grid"])
+def test_verify_grid_below_two_is_typed_error(flag, capsys):
+    code, out, err = run_cli(
+        ["verify", *BASE, "--sensitivity", "0.5", "--samples", "0", flag, "1"], capsys)
+    assert (code, out) == (2, "")
+    assert "grid sizes must be at least 2" in err
+
+
+def test_verify_fails_sufficient_condition_at_small_epsilon(capsys):
+    # achieved epsilon is 1.056e-8 at this scale (b_star is 7.5e7), a margin
+    # of 5.6e-10 that an absolute 1e-9 allowance would forgive
+    code, out, err = run_cli(
+        ["verify", "--epsilon", "1e-8", "--lower", "0", "--upper", "1",
+         "--sensitivity", "0.5", "--b", "7.1e7", "--samples", "0"], capsys)
+    assert (code, err) == (1, "")
+    assert "sufficient_condition: FAIL" in out
 
 
 def test_verify_csv_report(capsys):

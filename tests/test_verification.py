@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,13 +10,14 @@ from bounded_laplace import (
     CalibratedMechanism,
     OutputDomain,
     PrivacyBudget,
-    PrivacyCheckConfig,
+    achieved_epsilon,
     baseline_scale,
     calibrate,
     check_fixed_point_properties,
     check_privacy_inequality,
     check_ratio_monotonicity,
     check_sufficient_condition,
+    default_sweep_grid,
     empirical_privacy_estimate,
     privacy_loss_log_ratio,
     run_all_checks,
@@ -33,7 +35,7 @@ from helpers import (
 
 
 BUDGET = PrivacyBudget(1.0, 0.0)
-FAST = PrivacyCheckConfig(q_grid_size=80, set_grid_size=80)
+FAST = {"q_grid": 80, "set_grid": 80}
 # lower + sensitivity rounds at the scale of |lower| (about 10), far coarser
 # than the width's ulp, so the worst-case pair sits a few width ulps more
 # than one sensitivity apart
@@ -51,7 +53,7 @@ def calibrated(domain, budget=BUDGET):
 @pytest.mark.parametrize("frac", [0.1, 0.5, 0.9])
 def test_privacy_holds_at_calibrated_scale(frac):
     domain = OutputDomain(0.0, 1.0, frac)
-    res = check_privacy_inequality(calibrated(domain), FAST)
+    res = check_privacy_inequality(calibrated(domain), **FAST)
     assert res.passed
     assert res.worst_margin <= 1e-9
 
@@ -60,7 +62,7 @@ def test_privacy_holds_at_calibrated_scale(frac):
 def test_privacy_fails_at_baseline_scale(frac):
     domain = OutputDomain(0.0, 1.0, frac)
     mech = CalibratedMechanism(domain, BUDGET, baseline_scale(domain, BUDGET))
-    res = check_privacy_inequality(mech, FAST)
+    res = check_privacy_inequality(mech, **FAST)
     assert not res.passed
     assert res.worst_margin > 1e-6
 
@@ -68,7 +70,7 @@ def test_privacy_fails_at_baseline_scale(frac):
 def test_privacy_holds_at_baseline_when_sensitivity_spans_domain():
     domain = OutputDomain(0.0, 1.0, 1.0)
     mech = CalibratedMechanism(domain, BUDGET, baseline_scale(domain, BUDGET))
-    res = check_privacy_inequality(mech, FAST)
+    res = check_privacy_inequality(mech, **FAST)
     assert res.passed
 
 
@@ -78,9 +80,9 @@ def test_privacy_witness_lands_near_worst_pair():
     # of the grid points must not decide which one the test accepts.
     domain = OutputDomain(0.0, 1.0, 0.5)
     mech = calibrated(domain)
-    res = check_privacy_inequality(mech, FAST)
-    qs, xs, _, _, _ = _scan_grid(mech, FAST)
-    last = FAST.q_grid_size - 1
+    res = check_privacy_inequality(mech, **FAST)
+    qs, xs, _, _, _ = _scan_grid(mech, **FAST)
+    last = FAST["q_grid"] - 1
     i = int(np.flatnonzero(qs == res.witness["q"])[0])
     j = int(np.flatnonzero(qs == res.witness["q_prime"])[0])
     step = domain.sensitivity / domain.width * last  # sensitivity in grid steps
@@ -91,17 +93,17 @@ def test_privacy_witness_lands_near_worst_pair():
     (a, b), = res.witness["intervals"]
     ia = int(np.flatnonzero(xs == a)[0])
     ib = int(np.flatnonzero(xs == b)[0])
-    assert ia <= 1 or ib >= FAST.set_grid_size - 2
+    assert ia <= 1 or ib >= FAST["set_grid"] - 2
 
 
 def test_privacy_check_on_shifted_domain_with_delta():
     domain = OutputDomain(-4.0, -1.0, 1.2)
     budget = PrivacyBudget(0.8, 0.05)
     mech = calibrated(domain, budget)
-    res = check_privacy_inequality(mech, FAST)
+    res = check_privacy_inequality(mech, **FAST)
     assert res.passed and res.worst_margin <= 1e-9
     base = CalibratedMechanism(domain, budget, baseline_scale(domain, budget))
-    assert not check_privacy_inequality(base, FAST).passed
+    assert not check_privacy_inequality(base, **FAST).passed
 
 
 @pytest.mark.parametrize("domain, budget", [
@@ -115,10 +117,9 @@ def test_privacy_check_on_shifted_domain_with_delta():
 def test_single_intervals_suffice_for_privacy_scan(domain, budget):
     # the likelihood ratio is monotone in the output, so no union of two
     # disjoint intervals beats the best single one on the verifier's own grid
-    config = PrivacyCheckConfig(q_grid_size=60, set_grid_size=60)
     for scale in (baseline_scale(domain, budget), calibrate(domain, budget).b_star):
         mech = CalibratedMechanism(domain, budget, scale)
-        _, _, cdf, pa, pb = _scan_grid(mech, config)
+        _, _, cdf, pa, pb = _scan_grid(mech, q_grid=60, set_grid=60)
         amp = math.exp(budget.epsilon)
         single = worst_interval_margin(cdf, pa, pb, amp)[0]
         assert two_interval_margin(cdf, pa, pb, amp)[0] <= single + 1e-14
@@ -129,15 +130,14 @@ def test_privacy_check_stable_under_grid_refinement():
     mech_good = calibrated(domain)
     mech_bad = CalibratedMechanism(domain, BUDGET, baseline_scale(domain, BUDGET))
     for n in (50, 100):
-        cfg = PrivacyCheckConfig(q_grid_size=n, set_grid_size=n)
-        assert check_privacy_inequality(mech_good, cfg).passed
-        assert not check_privacy_inequality(mech_bad, cfg).passed
+        assert check_privacy_inequality(mech_good, q_grid=n, set_grid=n).passed
+        assert not check_privacy_inequality(mech_bad, q_grid=n, set_grid=n).passed
 
 
 def test_privacy_check_rejects_epsilon_beyond_exp_range(monkeypatch):
     # e^709 is a finite double, e^710 is not
     domain = OutputDomain(0.0, 1.0, 0.5)
-    assert check_privacy_inequality(calibrated(domain, PrivacyBudget(709.0)), FAST).passed
+    assert check_privacy_inequality(calibrated(domain, PrivacyBudget(709.0)), **FAST).passed
     mech = calibrated(domain, PrivacyBudget(710.0))
 
     def no_table(*args):
@@ -145,7 +145,7 @@ def test_privacy_check_rejects_epsilon_beyond_exp_range(monkeypatch):
 
     monkeypatch.setattr(verification, "_scan_grid", no_table)
     with pytest.raises(ValueError, match="log\\(DBL_MAX\\)"):
-        check_privacy_inequality(mech, FAST)
+        check_privacy_inequality(mech, **FAST)
 
 
 def test_interval_probabilities_match_quadrature():
@@ -206,6 +206,56 @@ def test_sufficient_condition_at_epsilon_beyond_exp_range():
     res = check_sufficient_condition(mech)
     assert res.passed
     assert res.witness["achieved_epsilon"] == pytest.approx(0.075, abs=1e-3)
+
+
+def _sufficient_condition_family():
+    """The 2,500 default sweep cells, then 3,000 random problems: lower edge in
+    [-1e3, 1e3], width 1e-3 to 1e3, sensitivity down to 1e-4 widths, eps from
+    1e-8 to 10**1.5 and four deltas."""
+    sensitivities, epsilons = default_sweep_grid()
+    for dq in sensitivities:
+        for eps in epsilons:
+            yield OutputDomain(0.0, 1.0, float(dq)), PrivacyBudget(float(eps))
+    rng = np.random.default_rng(2031)
+    for _ in range(3000):
+        lower = rng.uniform(-1e3, 1e3)
+        width = 10.0 ** rng.uniform(-3.0, 3.0)
+        domain = OutputDomain(lower, lower + width, width * 10.0 ** rng.uniform(-4.0, 0.0))
+        yield domain, PrivacyBudget(10.0 ** rng.uniform(-8.0, 1.5),
+                                    float(rng.choice([0.0, 1e-6, 0.1, 0.9])))
+
+
+def test_sufficient_condition_passes_at_b_star_across_problem_family():
+    # the allowance comes from an error bound, not from these margins
+    for domain, budget in _sufficient_condition_family():
+        res = check_sufficient_condition(calibrated(domain, budget))
+        assert res.passed, (domain, budget, res)
+
+
+def test_sufficient_condition_allowance_is_capped():
+    # at eps = 1e8 the uncapped allowance is 6.7e-8, and one ulp of
+    # achieved_epsilon 1.5e-8; a margin above PRIVACY_SLACK still fails
+    domain, budget = OutputDomain(0.0, 1.0, 0.5), PrivacyBudget(1e8)
+    b = calibrate(domain, budget).b_star
+    while achieved_epsilon(domain, b) - budget.epsilon <= verification.PRIVACY_SLACK:
+        b = math.nextafter(b, 0.0)
+    res = check_sufficient_condition(CalibratedMechanism(domain, budget, b))
+    assert res.worst_margin < verification.SUFFICIENT_ROUNDING * 2.0**-53 * budget.epsilon
+    assert not res.passed
+
+
+def test_scale_times_log_ratio_does_not_decrease():
+    # SUFFICIENT_ROUNDING bounds calibrate's rounding through this fact:
+    # b * log R(b) rises from 0 toward s (w - s) / w as b grows (w = 1 here)
+    with mpmath.workdps(40):
+        for s in map(mpmath.mpf, ("1e-4", "0.01", "0.1", "0.5", "0.9", "0.999")):
+            prev = 0
+            for k in range(-320, 321):
+                b = mpmath.mpf(10) ** (mpmath.mpf(k) / 32)
+                ratio = mpmath.expm1(-s / b) * mpmath.expm1(-(1 - s) / b) / -mpmath.expm1(-1 / b)
+                value = b * mpmath.log1p(ratio)
+                assert value >= prev, (s, b)
+                prev = value
 
 
 # --------------------------------------------------------- ratio monotonicity
@@ -297,10 +347,11 @@ def test_ratio_monotonicity_fails_for_broken_normalizer(domain, budget, monkeypa
     assert res.worst_margin > 1e3 * verification.FD_SLACK
 
 
-def test_ratio_monotonicity_stable_under_grid_refinement():
+def test_ratio_monotonicity_stable_under_grid_refinement(monkeypatch):
     domain = OutputDomain(0.0, 2.0, 0.7)
     for grid in (40, 80):
-        assert check_ratio_monotonicity(domain, 0.9, grid=grid).passed
+        monkeypatch.setattr(verification, "MONOTONICITY_GRID", grid)
+        assert check_ratio_monotonicity(domain, 0.9).passed
 
 
 # ---------------------------------------------------- fixed point properties
@@ -500,7 +551,7 @@ def test_empirical_estimate_memory_does_not_grow_with_samples():
 
 def test_run_all_checks_passes_when_calibrated():
     domain = OutputDomain(0.0, 1.0, 0.5)
-    report = run_all_checks(domain, BUDGET, config=FAST,
+    report = run_all_checks(domain, BUDGET, **FAST,
                             rng=np.random.default_rng(42), samples=200_000)
     assert report.all_passed
     assert [c.name for c in report.checks] == [
@@ -514,7 +565,7 @@ def test_run_all_checks_passes_when_calibrated():
 
 def test_run_all_checks_ends_with_empirical_estimate():
     domain = OutputDomain(0.0, 1.0, 0.5)
-    report = run_all_checks(domain, BUDGET, config=FAST,
+    report = run_all_checks(domain, BUDGET, **FAST,
                             rng=np.random.default_rng(42), samples=200_000)
     mech = calibrated(domain)
     assert report.checks[-1] == empirical_privacy_estimate(
@@ -524,7 +575,7 @@ def test_run_all_checks_ends_with_empirical_estimate():
 def test_run_all_checks_on_domain_far_from_zero():
     q, q_prime = FAR_DOMAIN.worst_case_pair()
     assert abs(q - q_prime) > FAR_DOMAIN.sensitivity + 8.0 * np.spacing(FAR_DOMAIN.width)
-    report = run_all_checks(FAR_DOMAIN, FAR_BUDGET, config=FAST,
+    report = run_all_checks(FAR_DOMAIN, FAR_BUDGET, **FAST,
                             rng=np.random.default_rng(25), samples=200_000)
     assert report.all_passed
     assert report.checks[-1].name == "empirical_privacy"
@@ -533,7 +584,7 @@ def test_run_all_checks_on_domain_far_from_zero():
 def test_run_all_checks_fails_on_baseline_scale():
     domain = OutputDomain(0.0, 1.0, 0.5)
     b0 = baseline_scale(domain, BUDGET)
-    report = run_all_checks(domain, BUDGET, scale=b0, config=FAST,
+    report = run_all_checks(domain, BUDGET, scale=b0, **FAST,
                             rng=np.random.default_rng(42), samples=200_000)
     assert not report.all_passed
     outcome = {c.name: c.passed for c in report.checks}
@@ -546,7 +597,7 @@ def test_run_all_checks_fails_on_baseline_scale():
 
 def test_report_serializes_to_json():
     domain = OutputDomain(0.0, 1.0, 0.5)
-    report = run_all_checks(domain, BUDGET, config=FAST,
+    report = run_all_checks(domain, BUDGET, **FAST,
                             rng=np.random.default_rng(1), samples=50_000)
     blob = json.dumps(report.to_dict())
     parsed = json.loads(blob)
@@ -555,5 +606,7 @@ def test_report_serializes_to_json():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        PrivacyCheckConfig(q_grid_size=1)
+    mech = calibrated(OutputDomain(0.0, 1.0, 0.5))
+    for grids in ({"q_grid": 1}, {"set_grid": 1}):
+        with pytest.raises(ValueError, match="grid sizes must be at least 2"):
+            check_privacy_inequality(mech, **grids)
