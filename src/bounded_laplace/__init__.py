@@ -39,7 +39,6 @@ from .verification import (
     check_ratio_monotonicity,
     check_sufficient_condition,
     empirical_privacy_estimate,
-    privacy_loss_log_ratio,
     run_all_checks,
 )
 
@@ -69,7 +68,6 @@ __all__ = [
     "fixed_point_operator",
     "normalizer",
     "normalizer_ratio",
-    "privacy_loss_log_ratio",
     "run_all_checks",
     "sample_truncated",
 ]

@@ -23,6 +23,15 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _json(obj, **kwargs) -> str:
+    """``json.dumps`` writing every non-finite float as ``null``: strict RFC 8259."""
+    try:
+        return json.dumps(obj, allow_nan=False, **kwargs)
+    except ValueError:  # a NaN or infinity; the round trip turns its token into None
+        return json.dumps(json.loads(json.dumps(obj), parse_constant=lambda _: None),
+                          **kwargs)
+
+
 def _domain_budget(args):
     return (
         OutputDomain(args.lower, args.upper, args.sensitivity),
@@ -47,7 +56,7 @@ def _cmd_calibrate(args) -> int:
     fields = ["b0", "f_b0", "b_star", "residual", "iterations", "effective_epsilon"]
     values = report.to_dict()
     if args.format == "json":
-        print(json.dumps({k: values[k] for k in fields}))
+        print(_json({k: values[k] for k in fields}))
     elif args.format == "csv":
         w = _csv_writer()
         w.writerow(fields)
@@ -74,7 +83,7 @@ def _cmd_sample(args) -> int:
         else:
             values = mech.sample_inverse(q, rng, size=args.n)
     if args.format == "json":
-        print(json.dumps({"scale": float(scale), "values": [float(v) for v in values]}))
+        print(_json({"scale": float(scale), "values": [float(v) for v in values]}))
     elif args.format == "csv":
         w = _csv_writer()
         w.writerow(["value"])
@@ -95,17 +104,17 @@ def _cmd_verify(args) -> int:
     if args.format == "json":
         out = report.to_dict()
         out["scale"] = float(scale)
-        print(json.dumps(out))
+        print(_json(out))
     elif args.format == "csv":
         w = _csv_writer()
         w.writerow(["name", "passed", "worst_margin", "witness"])
         for c in report.checks:
             w.writerow([c.name, str(c.passed).lower(), _fmt(c.worst_margin),
-                        json.dumps(c.witness, separators=(",", ":"))])
+                        _json(c.witness, separators=(",", ":"))])
     else:
         for c in report.checks:
             status = "PASS" if c.passed else "FAIL"
-            witness = json.dumps(c.witness, separators=(",", ":"))
+            witness = _json(c.witness, separators=(",", ":"))
             print(f"{c.name}: {status} worst_margin={_fmt(c.worst_margin)} witness={witness}")
         print(f"overall: {'PASS' if report.all_passed else 'FAIL'} scale={_fmt(scale)}")
     return 0 if report.all_passed else 1
@@ -115,6 +124,14 @@ def _cmd_sweep(args) -> int:
     if args.dq_steps < 1 or args.eps_steps < 1:
         raise ValueError("--dq-steps and --eps-steps must be at least 1")
     dq_max = args.dq_max if args.dq_max is not None else args.width
+    for flag, value in (("--width", args.width), ("--dq-min", args.dq_min),
+                        ("--dq-max", dq_max), ("--eps-min", args.eps_min),
+                        ("--eps-max", args.eps_max)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{flag} must be finite and positive, got {value}")
+    for flag, value in (("--dq-min", args.dq_min), ("--dq-max", dq_max)):
+        if value > args.width:
+            raise ValueError(f"{flag} {value} exceeds the domain width {args.width}")
     sensitivities = np.logspace(math.log10(args.dq_min), math.log10(dq_max),
                                 args.dq_steps)
     if sensitivities.size > 1:

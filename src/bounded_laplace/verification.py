@@ -3,11 +3,13 @@
 The headline check brute-forces the differential-privacy inequality over a
 grid of query pairs and a grid family of output intervals; the remaining
 checks validate the scalar sufficient condition through ``achieved_epsilon``,
-the monotonicity facts behind the worst-case pair location, and the
-fixed-point facts behind the calibration bracket, all by direct evaluation
-or central finite differences, and sample the worst-case pair.  Every check
-returns a ``CheckResult``; a failing check is a report outcome, never an
-exception (the grid check refuses eps above log(DBL_MAX) with a ValueError).
+the monotonicity facts behind the worst-case pair location (on offsets
+from the lower edge, so every translate of a domain gets the same result),
+and the fixed-point facts behind the calibration bracket, all by direct
+evaluation or central finite differences, and sample the worst-case pair.
+Every check returns a ``CheckResult``; a failing check is a report outcome,
+never an exception (the grid check refuses eps above log(DBL_MAX) with a
+ValueError).
 
 Scope caveat: the privacy guarantee quantifies over all measurable output
 sets, while the grid check searches single intervals at finite resolution.
@@ -31,13 +33,12 @@ import numpy as np
 
 from ._kernels import worst_interval_margin
 from .calibration import achieved_epsilon, baseline_scale, calibrate, fixed_point_operator
-from .mechanism import (CalibratedMechanism, _inside_mass, _normalizer, _quantile_buffers,
-                        _require_scale, normalizer_ratio)
+from .mechanism import (CalibratedMechanism, _inside_mass, _quantile_buffers, _require_scale,
+                        normalizer_ratio)
 
 __all__ = [
     "CheckResult",
     "VerificationReport",
-    "privacy_loss_log_ratio",
     "check_privacy_inequality",
     "check_sufficient_condition",
     "check_ratio_monotonicity",
@@ -185,34 +186,16 @@ def check_sufficient_condition(mech) -> CheckResult:
                        float(margin), witness)
 
 
-def privacy_loss_log_ratio(domain, b, q, z):
-    """log of (C(q+z)/C(q)) * e^(z/b), broadcast over q and z.
+def _log_loss(w, b, t, z):
+    """log of (C(t+z)/C(t)) * e^(z/b), broadcast over t and z, with C(t) the
+    mass of Laplace(0, b) on [-t, w - t]: t is an offset from the lower edge.
 
-    Working on the log keeps the value finite where e^(z/b) would overflow;
-    the monotonicity sign claims are unchanged by the log.  ``q + z`` is
-    formed as its distance from the lower edge, so far from 0 it rounds at
-    the scale of the width, not of the edges.
+    The log stays finite where e^(z/b) would overflow, and keeps the signs
+    of the slopes.
     """
-    b = _require_scale(b)
-    qa = domain.require_query(q)
-    za = np.asarray(z, dtype=float)
-    if np.any(za < 0.0):
-        raise ValueError("offset z must be nonnegative")
-    w = domain.width
-    left = (qa - domain.lower) + za
-    # q itself rounds at the scale of the edges, so q + z may pass the upper
-    # edge by that much; the overshoot comes off both C's argument and the
-    # exponent, so the two describe the same point
-    overshoot = np.maximum(left - w, 0.0)
-    if np.any(overshoot > max(1e-9 * w, _pair_tolerance(domain))):
-        raise ValueError("q + z must stay inside the domain")
-    left = np.minimum(left, w)
-    out = (
-        np.log(_inside_mass(left, w - left, b))
-        - np.log(_normalizer(domain, qa, b))
-        + (za - overshoot) / b
-    )
-    return float(out) if np.ndim(out) == 0 else out
+    left = t + z
+    return (np.log(_inside_mass(left, w - left, b)) - np.log(_inside_mass(t, w - t, b))
+            + z / b)
 
 
 def check_ratio_monotonicity(domain, b) -> CheckResult:
@@ -223,30 +206,29 @@ def check_ratio_monotonicity(domain, b) -> CheckResult:
     nonincreasing in q; both slopes are measured by central differences of
     the log ratio with a step of ``FD_STEP`` times the domain width, and
     taken per unit of width (multiplied by it), so ``FD_SLACK`` bounds the
-    same rounding noise on every domain.
+    same rounding noise on every domain.  The grid holds offsets
+    t = q - lower, so q + z is never rounded at the scale of the edges and
+    the result depends only on the width and b: every translate of a domain
+    gets the same margin and witness slope.
     """
     b = _require_scale(b)
     grid = MONOTONICITY_GRID
-    h = FD_STEP * domain.width
-    qs = np.linspace(domain.lower + h, domain.upper - 2.0 * h, grid)
-    t = np.linspace(0.0, 1.0, grid)
-    q2 = np.broadcast_to(qs[:, None], (grid, grid))
-    span = np.maximum(domain.upper - qs[:, None] - 2.0 * h, 0.0)
-    z2 = h + t[None, :] * span
-    dz = domain.width * (privacy_loss_log_ratio(domain, b, q2, z2 + h)
-                         - privacy_loss_log_ratio(domain, b, q2, z2 - h)) / (2.0 * h)
-    dq = domain.width * (privacy_loss_log_ratio(domain, b, q2 + h, z2)
-                         - privacy_loss_log_ratio(domain, b, q2 - h, z2)) / (2.0 * h)
+    w = domain.width
+    h = FD_STEP * w
+    ts = np.linspace(h, w - 2.0 * h, grid)
+    frac = np.linspace(0.0, 1.0, grid)
+    t2 = ts[:, None]
+    span = np.maximum(w - t2 - 2.0 * h, 0.0)
+    z2 = h + frac[None, :] * span
+    dz = w * (_log_loss(w, b, t2, z2 + h) - _log_loss(w, b, t2, z2 - h)) / (2.0 * h)
+    dq = w * (_log_loss(w, b, t2 + h, z2) - _log_loss(w, b, t2 - h, z2)) / (2.0 * h)
     kz = np.unravel_index(np.argmin(dz), dz.shape)
     kq = np.unravel_index(np.argmax(dq), dq.shape)
     margin_z = float(-dz[kz])
     margin_q = float(dq[kq])
-    if margin_z >= margin_q:
-        witness = {"derivative": "z", "q": float(q2[kz]), "z": float(z2[kz]),
-                   "slope": float(dz[kz]), "scale": b}
-    else:
-        witness = {"derivative": "q", "q": float(q2[kq]), "z": float(z2[kq]),
-                   "slope": float(dq[kq]), "scale": b}
+    k, derivative, slope = (kz, "z", dz) if margin_z >= margin_q else (kq, "q", dq)
+    witness = {"derivative": derivative, "q": float(domain.lower + ts[k[0]]),
+               "z": float(z2[k]), "slope": float(slope[k]), "scale": b}
     margin = max(margin_z, margin_q)
     return CheckResult("ratio_monotonicity", bool(margin <= FD_SLACK), margin, witness)
 

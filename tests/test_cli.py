@@ -239,6 +239,29 @@ def test_verify_csv_report(capsys):
     assert all(row[1] == "true" for row in rows[1:])
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_verify_json_is_strict_with_too_few_samples(fmt, capsys):
+    # 10 draws fill no bin, so the empirical estimate and its margin are NaN
+    code, out, _ = run_cli(["verify", *BASE, "--sensitivity", "0.5", "--samples", "10",
+                            "--seed", "1", "--format", fmt], capsys)
+    assert code == 0
+    if fmt == "json":
+        empirical = json.loads(out, parse_constant=_reject_constant)["checks"][-1]
+        assert empirical["worst_margin"] is None
+        witnesses = [empirical["witness"]]
+    else:
+        if fmt == "csv":
+            docs = [row[3] for row in list(csv.reader(io.StringIO(out)))[1:]]
+        else:
+            docs = [line.split(" witness=", 1)[1] for line in out.splitlines()[:-1]]
+        witnesses = [json.loads(doc, parse_constant=_reject_constant) for doc in docs]
+    assert witnesses[-1]["estimate"] is None
+
+
 # ------------------------------------------------------------- seeded output
 
 
@@ -308,9 +331,10 @@ def test_sweep_ratio_monotone_in_epsilon(capsys):
 
 
 def test_sweep_emits_na_and_fails_on_bad_cells(capsys):
+    # at epsilon 1e-320 the baseline scale sensitivity / epsilon overflows
     code, out, _ = run_cli(
-        ["sweep", "--width", "1", "--dq-min", "0.5", "--dq-max", "2",
-         "--dq-steps", "2", "--eps-steps", "2"], capsys)
+        ["sweep", "--width", "1", "--dq-min", "0.5", "--eps-min", "1e-320",
+         "--eps-max", "1", "--dq-steps", "2", "--eps-steps", "2"], capsys)
     assert code == 1
     rows = list(csv.reader(io.StringIO(out)))[1:]
     na_rows = [r for r in rows if r[4] == "NA"]
@@ -340,6 +364,31 @@ def test_sweep_empty_grid_is_usage_error(flag, steps, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--width", "0.0005"], "--dq-min"),
+    (["--dq-min", "2"], "--dq-min"),
+    (["--dq-max", "2"], "--dq-max"),
+    (["--dq-min", "nan"], "--dq-min"),
+    (["--eps-max", "inf"], "--eps-max"),
+    (["--width", "0"], "--width"),
+    (["--width", "-1"], "--width"),
+    (["--dq-min", "0"], "--dq-min"),
+    (["--eps-min", "-1"], "--eps-min"),
+])
+def test_sweep_rejects_axes_it_cannot_calibrate(argv, flag, capsys):
+    code, out, err = run_cli(["sweep", *argv], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag} ")
+
+
+def test_sweep_descending_epsilon_axis_calibrates(capsys):
+    code, out, _ = run_cli(["sweep", "--eps-min", "10", "--eps-max", "1",
+                            "--dq-steps", "2", "--eps-steps", "2"], capsys)
+    assert code == 0
+    epsilons = [float(r[1]) for r in list(csv.reader(io.StringIO(out)))[1:]]
+    assert epsilons == [10.0, 1.0, 10.0, 1.0]
 
 
 def test_sweep_deterministic(capsys):

@@ -19,7 +19,6 @@ from bounded_laplace import (
     check_sufficient_condition,
     default_sweep_grid,
     empirical_privacy_estimate,
-    privacy_loss_log_ratio,
     run_all_checks,
 )
 from bounded_laplace import verification
@@ -262,26 +261,15 @@ def test_scale_times_log_ratio_does_not_decrease():
 
 
 def test_log_ratio_zero_offset_is_identity():
-    domain = OutputDomain(0.0, 1.0, 0.5)
-    qs = np.linspace(0.0, 1.0, 11)
-    vals = privacy_loss_log_ratio(domain, 0.7, qs, 0.0)
+    ts = np.linspace(0.0, 1.0, 11)
+    vals = verification._log_loss(1.0, 0.7, ts, 0.0)
     assert np.max(np.abs(vals)) == 0.0
 
 
 def test_log_ratio_full_span_hits_exponential_bound():
-    # with q = l and z = u - l the constants cancel, leaving z/b
-    domain = OutputDomain(0.0, 1.0, 1.0)
+    # with t = 0 and z = w the constants cancel, leaving z/b
     for b in (0.3, 1.0, 4.0):
-        assert privacy_loss_log_ratio(domain, b, 0.0, 1.0) == pytest.approx(
-            1.0 / b, rel=1e-12)
-
-
-def test_log_ratio_validates_inputs():
-    domain = OutputDomain(0.0, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        privacy_loss_log_ratio(domain, 0.7, 0.2, -0.1)
-    with pytest.raises(ValueError):
-        privacy_loss_log_ratio(domain, 0.7, 0.8, 0.5)
+        assert verification._log_loss(1.0, b, 0.0, 1.0) == pytest.approx(1.0 / b, rel=1e-12)
 
 
 def test_ratio_monotonicity_random_draws():
@@ -331,17 +319,36 @@ def test_ratio_monotonicity_far_domains_any_budget():
             assert res.passed, (domain, budget, b, res)
 
 
+def test_ratio_monotonicity_is_translation_invariant():
+    # the grid holds offsets from the lower edge, so a domain gives the same
+    # margin and witness as its translate to [0, width], bit for bit
+    rng = np.random.default_rng(2031)
+    for _ in range(300):
+        lower = rng.uniform(-1e6, 1e6)
+        width = 10.0 ** rng.uniform(-3.0, 3.0)
+        domain = OutputDomain(lower, lower + width, width * rng.uniform(0.05, 1.0))
+        at_zero = OutputDomain(0.0, domain.width, domain.sensitivity)
+        budget = PrivacyBudget(10.0 ** rng.uniform(-2.0, 3.0))
+        for b in (calibrate(domain, budget).b_star, baseline_scale(domain, budget)):
+            got = check_ratio_monotonicity(domain, b)
+            ref = check_ratio_monotonicity(at_zero, b)
+            assert got.worst_margin == ref.worst_margin, (domain, budget, b)
+            for key in ("derivative", "z", "slope"):
+                assert got.witness[key] == ref.witness[key], (domain, budget, b, key)
+            assert got.witness["q"] == domain.lower + ref.witness["q"]
+
+
 @pytest.mark.parametrize("domain, budget", [
     (OutputDomain(0.0, 0.001, 0.0005), PrivacyBudget(50.0)),
     (OutputDomain(0.0, 0.001, 0.0005), BUDGET),
     (OutputDomain(0.0, 1.0, 0.5), BUDGET),
 ])
 def test_ratio_monotonicity_fails_for_broken_normalizer(domain, budget, monkeypatch):
-    # C(q + z) evaluated at a scale one part in 1e4 too large; slopes taken
-    # per unit of width must still expose it on a narrow domain
-    inside_mass = verification._inside_mass
-    monkeypatch.setattr(verification, "_inside_mass",
-                        lambda left, right, b: inside_mass(left, right, 1.0001 * b))
+    # a C whose upper half mass decays twice as fast breaks the fall of the
+    # ratio in z; slopes taken per unit of width must expose it on a narrow
+    # domain too
+    monkeypatch.setattr(verification, "_inside_mass", lambda left, right, b:
+                        -0.5 * (np.expm1(-left / b) + np.expm1(-2.0 * right / b)))
     res = check_ratio_monotonicity(domain, calibrate(domain, budget).b_star)
     assert not res.passed
     assert res.worst_margin > 1e3 * verification.FD_SLACK
