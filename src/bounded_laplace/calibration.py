@@ -155,10 +155,19 @@ class SweepCell:
     error: str | None = None
 
 
+def _log_axis(start, stop, steps):
+    """``steps >= 1`` log-spaced points from exactly ``start`` to exactly
+    ``stop``, which ``10 ** log10`` can miss by an ulp; one step is ``[start]``."""
+    axis = np.logspace(math.log10(start), math.log10(stop), steps)
+    axis[-1] = stop
+    axis[0] = start
+    return axis
+
+
 def default_sweep_grid():
-    """Default sweep axes: 50 log-spaced sensitivities in [1e-3, 1] and
-    50 log-spaced epsilons in [1e-2, 10]."""
-    return np.logspace(-3.0, 0.0, 50), np.logspace(-2.0, 1.0, 50)
+    """The CLI's sweep axes: 50 log-spaced sensitivities from 1e-3 to 1 and
+    50 log-spaced epsilons from 1e-2 to 10, each exact at both ends."""
+    return _log_axis(1e-3, 1.0, 50), _log_axis(1e-2, 10.0, 50)
 
 
 def epsilon_ratio_grid(domain_width, sensitivities, epsilons):

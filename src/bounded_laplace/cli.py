@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .calibration import calibrate, epsilon_ratio_grid
+from .calibration import _log_axis, calibrate, epsilon_ratio_grid
 from .mechanism import CalibratedMechanism, OutputDomain, PrivacyBudget, sample_truncated
 from .verification import EMPIRICAL_SAMPLES, SCAN_GRID, run_all_checks
 
@@ -51,21 +51,16 @@ def _csv_writer():
 
 
 def _cmd_calibrate(args) -> int:
-    domain, budget = _domain_budget(args)
-    report = calibrate(domain, budget)
-    fields = ["b0", "f_b0", "b_star", "residual", "iterations", "effective_epsilon"]
-    values = report.to_dict()
+    values = calibrate(*_domain_budget(args)).to_dict()
     if args.format == "json":
-        print(_json({k: values[k] for k in fields}))
+        print(_json(values))
     elif args.format == "csv":
         w = _csv_writer()
-        w.writerow(fields)
-        w.writerow([_fmt(values[k]) if k != "iterations" else str(values[k])
-                    for k in fields])
+        w.writerow(values)
+        w.writerow([_fmt(v) for v in values.values()])
     else:
-        for k in fields:
-            v = str(values[k]) if k == "iterations" else _fmt(values[k])
-            print(f"{k} = {v}")
+        for k, v in values.items():
+            print(f"{k} = {_fmt(v)}")
     return 0
 
 
@@ -97,14 +92,11 @@ def _cmd_sample(args) -> int:
 
 def _cmd_verify(args) -> int:
     domain, budget = _domain_budget(args)
-    scale = args.b if args.b is not None else calibrate(domain, budget).b_star
     rng = _make_rng(args.seed) if args.samples else None
-    report = run_all_checks(domain, budget, scale=scale, q_grid=args.q_grid,
+    report = run_all_checks(domain, budget, scale=args.b, q_grid=args.q_grid,
                             set_grid=args.set_grid, rng=rng, samples=args.samples)
     if args.format == "json":
-        out = report.to_dict()
-        out["scale"] = float(scale)
-        print(_json(out))
+        print(_json(report.to_dict()))
     elif args.format == "csv":
         w = _csv_writer()
         w.writerow(["name", "passed", "worst_margin", "witness"])
@@ -116,7 +108,7 @@ def _cmd_verify(args) -> int:
             status = "PASS" if c.passed else "FAIL"
             witness = _json(c.witness, separators=(",", ":"))
             print(f"{c.name}: {status} worst_margin={_fmt(c.worst_margin)} witness={witness}")
-        print(f"overall: {'PASS' if report.all_passed else 'FAIL'} scale={_fmt(scale)}")
+        print(f"overall: {'PASS' if report.all_passed else 'FAIL'} scale={_fmt(report.scale)}")
     return 0 if report.all_passed else 1
 
 
@@ -132,26 +124,15 @@ def _cmd_sweep(args) -> int:
     for flag, value in (("--dq-min", args.dq_min), ("--dq-max", dq_max)):
         if value > args.width:
             raise ValueError(f"{flag} {value} exceeds the domain width {args.width}")
-    sensitivities = np.logspace(math.log10(args.dq_min), math.log10(dq_max),
-                                args.dq_steps)
-    if sensitivities.size > 1:
-        # 10 ** log10(dq_max) can miss dq_max by an ulp, and land above the width
-        sensitivities[-1] = dq_max
-    epsilons = np.logspace(math.log10(args.eps_min), math.log10(args.eps_max),
-                           args.eps_steps)
-    cells = epsilon_ratio_grid(args.width, sensitivities, epsilons)
+    cells = epsilon_ratio_grid(args.width, _log_axis(args.dq_min, dq_max, args.dq_steps),
+                               _log_axis(args.eps_min, args.eps_max, args.eps_steps))
     w = _csv_writer()
     w.writerow(["sensitivity", "epsilon", "b_star", "effective_epsilon", "ratio"])
-    failed = False
-    for cell in cells:
-        if cell.error is not None:
-            failed = True
-            w.writerow([_fmt(cell.sensitivity), _fmt(cell.epsilon), "NA", "NA", "NA"])
-        else:
-            w.writerow([_fmt(cell.sensitivity), _fmt(cell.epsilon),
-                        _fmt(cell.b_star), _fmt(cell.effective_epsilon),
-                        _fmt(cell.ratio)])
-    return 1 if failed else 0
+    for c in cells:  # a cell that failed to calibrate prints NA for its results
+        results = ["NA"] * 3 if c.error is not None else [
+            _fmt(c.b_star), _fmt(c.effective_epsilon), _fmt(c.ratio)]
+        w.writerow([_fmt(c.sensitivity), _fmt(c.epsilon), *results])
+    return 1 if any(c.error is not None for c in cells) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -33,8 +33,8 @@ import numpy as np
 
 from ._kernels import worst_interval_margin
 from .calibration import achieved_epsilon, baseline_scale, calibrate, fixed_point_operator
-from .mechanism import (CalibratedMechanism, _inside_mass, _quantile_buffers, _require_scale,
-                        normalizer_ratio)
+from .mechanism import (BLOCK, CalibratedMechanism, _inside_mass, _quantile_buffers,
+                        _require_scale, normalizer_ratio)
 
 __all__ = [
     "CheckResult",
@@ -75,12 +75,6 @@ EMPIRICAL_SLACK = 0.05
 # need in a bin for it to enter the estimate.
 EMPIRICAL_BINS = 50
 EMPIRICAL_FLOOR = 10
-# Draws made and counted at a time by the empirical estimate.  A block of
-# float64 draws is 512 KB, so it stays in cache while it is sorted and
-# searched.  Every block reuses buffers allocated once per query, so the
-# block loop allocates no block-sized array and the estimate's memory does
-# not grow with the sample count.
-EMPIRICAL_BLOCK = 65_536
 
 
 @dataclass(frozen=True)
@@ -96,7 +90,10 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """The results of :func:`run_all_checks` in order, and the scale checked."""
+
     checks: tuple
+    scale: float
 
     @property
     def all_passed(self) -> bool:
@@ -106,6 +103,7 @@ class VerificationReport:
         return {
             "all_passed": self.all_passed,
             "checks": [c.to_dict() for c in self.checks],
+            "scale": self.scale,
         }
 
 
@@ -286,7 +284,7 @@ def check_fixed_point_properties(domain, budget) -> CheckResult:
 
 def _sampled_counts(mech, q, rng, samples, edges):
     """Histogram over ``edges`` of ``samples`` inverse-transform draws at q,
-    drawn and counted ``EMPIRICAL_BLOCK`` at a time.
+    drawn and counted ``BLOCK`` at a time, as ``sample_inverse`` draws them.
 
     Every block is drawn into the same buffers, allocated once, and sorted
     there; the edges are located in it by binary search, as ``np.histogram``
@@ -296,10 +294,10 @@ def _sampled_counts(mech, q, rng, samples, edges):
     which is closed.
     """
     qa = np.asarray(q, dtype=float)
-    buffers = _quantile_buffers(min(EMPIRICAL_BLOCK, samples))
+    buffers = _quantile_buffers(min(BLOCK, samples))
     cum = np.zeros(edges.size, dtype=np.intp)
-    for start in range(0, samples, EMPIRICAL_BLOCK):
-        size = min(EMPIRICAL_BLOCK, samples - start)
+    for start in range(0, samples, BLOCK):
+        size = min(BLOCK, samples - start)
         block = mech._fill_inverse(qa, rng, [buf[:size] for buf in buffers])
         block.sort()
         cum[:-1] += block.searchsorted(edges[:-1], "left")
@@ -319,13 +317,10 @@ def empirical_privacy_estimate(mech, q, q_prime, samples: int = EMPIRICAL_SAMPLE
     half the bins qualify, and the check fails only for a reliable estimate
     more than ``EMPIRICAL_SLACK`` above epsilon.
 
-    The draws are made and counted in blocks of ``EMPIRICAL_BLOCK``, each
-    sampled into buffers allocated once per query and sorted there, so
-    working memory is O(block + bins) whatever ``samples`` is.  The counts
-    are those of ``np.histogram`` over ``edges`` of ``sample_inverse``
-    draws.  The blocks continue one generator stream, so the counts equal
-    those of drawing all samples at once (unless the generator returns an
-    exact 0.0, whose redraw then comes from a later stream position).
+    The draws are counted a block at a time, so working memory is
+    O(block + bins) whatever ``samples`` is.  The counts are those of
+    ``np.histogram`` over ``edges`` of ``sample_inverse`` draws from the
+    same generator state.
     """
     d = mech.domain
     q = float(d.require_query(q))
@@ -362,8 +357,9 @@ def run_all_checks(domain, budget, scale=None, q_grid: int = SCAN_GRID,
                    samples: int = EMPIRICAL_SAMPLES) -> VerificationReport:
     """Run the full check suite against one mechanism.
 
-    ``scale=None`` calibrates first; passing the baseline scale instead is
-    the canonical way to reproduce the non-guarantee.  ``q_grid`` and
+    ``scale=None`` checks ``calibrate(domain, budget).b_star``; passing the
+    baseline scale instead is the canonical way to reproduce the
+    non-guarantee.  The report records the scale checked.  ``q_grid`` and
     ``set_grid`` size the grid check.  ``samples=0`` skips the empirical
     estimate, which runs on the worst-case pair.
     """
@@ -379,4 +375,4 @@ def run_all_checks(domain, budget, scale=None, q_grid: int = SCAN_GRID,
     if samples:
         checks.append(empirical_privacy_estimate(mech, *domain.worst_case_pair(),
                                                  samples=samples, rng=rng))
-    return VerificationReport(tuple(checks))
+    return VerificationReport(tuple(checks), mech.scale)

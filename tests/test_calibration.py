@@ -19,6 +19,7 @@ from bounded_laplace import (
     fixed_point_operator,
     normalizer_ratio,
 )
+from bounded_laplace.calibration import _log_axis
 from helpers import (
     damped_fixed_point,
     laplace_mass_quadrature,
@@ -299,10 +300,21 @@ def test_ratio_grid_records_per_cell_errors():
     assert math.isnan(bad.ratio)
 
 
+@pytest.mark.parametrize("steps", [1, 2, 50])
+def test_log_axis_ends_exactly_on_its_bounds(steps):
+    # 10 ** log10(x) misses x by an ulp for about one x in eight
+    rng = np.random.default_rng(18)
+    for start, stop in 10.0 ** rng.uniform(-12.0, 12.0, size=(500, 2)):
+        axis = _log_axis(start, stop, steps)
+        assert axis.shape == (steps,) and axis[0] == start
+        assert axis[-1] == (stop if steps > 1 else start)
+        assert np.all(np.diff(axis) > 0) if stop > start else np.all(np.diff(axis) < 0)
+
+
 def test_default_sweep_grid_axes():
     sens, eps = default_sweep_grid()
     assert sens.shape == (50,) and eps.shape == (50,)
-    assert sens[0] == pytest.approx(1e-3, rel=1e-12)
-    assert sens[-1] == pytest.approx(1.0, rel=1e-12)
-    assert eps[0] == pytest.approx(1e-2, rel=1e-12)
-    assert eps[-1] == pytest.approx(10.0, rel=1e-12)
+    assert (sens[0], sens[-1], eps[0], eps[-1]) == (1e-3, 1.0, 1e-2, 10.0)
+    # the interior is np.logspace of the exact decimal exponents
+    assert np.array_equal(sens, np.logspace(-3.0, 0.0, 50))
+    assert np.array_equal(eps, np.logspace(-2.0, 1.0, 50))

@@ -229,6 +229,18 @@ def test_verify_fails_sufficient_condition_at_small_epsilon(capsys):
     assert "sufficient_condition: FAIL" in out
 
 
+@pytest.mark.parametrize("override", [[], ["--b", "0.9"]])
+def test_verify_json_scale_is_the_reports(override, capsys):
+    code, out, _ = run_cli(["verify", *BASE, "--sensitivity", "0.5", *override,
+                            "--samples", "0", "--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    scale = 0.9 if override else calibrate(OutputDomain(0.0, 1.0, 0.5),
+                                           PrivacyBudget(1.0, 0.0)).b_star
+    assert list(payload) == ["all_passed", "checks", "scale"]
+    assert payload["scale"] == scale
+
+
 def test_verify_csv_report(capsys):
     code, out, _ = run_cli(
         ["verify", *BASE, "--sensitivity", "0.5", "--format", "csv",
@@ -280,6 +292,8 @@ PINNED = ["--epsilon", "1", "--lower", "0", "--upper", "1", "--sensitivity", "0.
     (["sample", *PINNED, "--q", "0.3", "--n", "100000", "--seed", "42",
       "--sampler", "inverse"], 0,
      "db92cd7a174a7029f854123efcb596a9ac352ac8f86964c7cca0c53c4de23136"),
+    (["sweep"], 0,
+     "a9a957f5512f04fa92a465d97ac0802dc6e5528546bca6381d690eae7fbf1b48"),
 ])
 def test_seeded_stdout_is_pinned(argv, code, digest, capsys):
     got_code, out, _ = run_cli(argv, capsys)
@@ -344,16 +358,24 @@ def test_sweep_emits_na_and_fails_on_bad_cells(capsys):
 
 
 def test_sweep_last_sensitivity_is_exactly_the_width(capsys):
-    # 10 ** log10(width) rounds one ulp above this width
+    # 10 ** log10(x) rounds one ulp above this width, and one below 0.005
     width = "1.969390655208028"
-    code, out, _ = run_cli(
-        ["sweep", "--width", width, "--dq-min", "0.001969390655208028",
-         "--dq-steps", "3", "--eps-steps", "2"], capsys)
-    assert code == 0
-    assert "NA" not in out
-    last = list(csv.reader(io.StringIO(out)))[-1]
-    assert float(last[0]) == float(width)
-    assert float(last[4]) == 1.0
+    for dq_min, dq_steps, eps_min in [
+        ("0.001969390655208028", "3", "0.01"),
+        (width, "2", "0.01"),  # the first sensitivity is the width too
+        (width, "1", "0.01"),
+        ("0.001969390655208028", "3", "0.005"),
+    ]:
+        code, out, _ = run_cli(
+            ["sweep", "--width", width, "--dq-min", dq_min, "--dq-steps", dq_steps,
+             "--eps-min", eps_min, "--eps-steps", "2"], capsys)
+        assert (code, "NA" in out) == (0, False), (dq_min, dq_steps, eps_min)
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert float(rows[0][0]) == float(dq_min)
+        assert float(rows[0][1]) == float(eps_min)
+        assert float(rows[-1][0]) == float(width)
+        assert float(rows[-1][1]) == 10.0
+        assert float(rows[-1][4]) == 1.0
 
 
 @pytest.mark.parametrize("steps", ["0", "-3"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from bounded_laplace import (
     normalizer_ratio,
     sample_truncated,
 )
+from bounded_laplace.mechanism import BLOCK
 from helpers import laplace_mass_quadrature, reference_quantile, reference_rejection
 
 
@@ -364,7 +366,7 @@ def test_quantile_bitwise_equal_to_reference_formula():
 
 def test_sample_inverse_is_reference_quantile_of_its_uniforms():
     mech = unit_mech(scale=0.45)
-    for size in (None, 100_000):
+    for size in (None, BLOCK + 1, 100_000):  # one block, then a 1-draw and a partial tail
         got = mech.sample_inverse(0.2, np.random.default_rng(7), size=size)
         u = np.random.default_rng(7).random(1 if size is None else size)
         assert np.all(u > 0.0)  # no zero redrawn: these are the uniforms used
@@ -401,6 +403,21 @@ def test_quantile_and_sampler_never_write_callers_arrays():
     a = mech.sample_inverse(0.3, rng, size=1_000)
     b = mech.sample_inverse(0.3, rng, size=1_000)
     assert a is not b and not np.shares_memory(a, b)
+
+
+def test_sample_inverse_scratch_does_not_grow_with_size():
+    mech = unit_mech(scale=0.45)
+    mech.sample_inverse(0.3, np.random.default_rng(0), size=BLOCK + 1)  # warm-up
+    for size in (1_000_000, 2_000_000):
+        tracemalloc.start()
+        try:
+            x = mech.sample_inverse(0.3, np.random.default_rng(0), size=size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # beside the result, one block of scratch; drawing all at once took
+        # 9 bytes of scratch per draw
+        assert peak - x.nbytes < 2_000_000, (size, peak)
 
 
 # ------------------------------------------------------------------ samplers

@@ -21,7 +21,7 @@ from bounded_laplace import (
     empirical_privacy_estimate,
     run_all_checks,
 )
-from bounded_laplace import verification
+from bounded_laplace import mechanism, verification
 from bounded_laplace._kernels import worst_interval_margin
 from bounded_laplace.verification import _sampled_counts, _scan_grid
 from helpers import (
@@ -491,7 +491,7 @@ def test_sampled_counts_equal_histogram_of_sample_inverse(domain, scale, q):
     # a partial block follows two full ones, so a stale tail of the reused
     # buffers would be counted
     mech = CalibratedMechanism(domain, BUDGET, scale)
-    samples = 2 * verification.EMPIRICAL_BLOCK + 123
+    samples = 2 * mechanism.BLOCK + 123
     edges = np.linspace(domain.lower, domain.upper, 51)
     got = _sampled_counts(mech, q, np.random.default_rng(17), samples, edges)
     draws = mech.sample_inverse(q, np.random.default_rng(17), size=samples)
@@ -532,7 +532,7 @@ def test_sampled_counts_match_histogram_on_exact_edges(domain):
     stub = _ReplaySampler(values)
     got = _sampled_counts(stub, domain.lower, None, values.size, edges)
     want = np.histogram(values, edges)[0]
-    assert stub.served == values.size > verification.EMPIRICAL_BLOCK
+    assert stub.served == values.size > mechanism.BLOCK
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -600,6 +600,20 @@ def test_run_all_checks_fails_on_baseline_scale():
     assert not outcome["sufficient_condition"]
     assert outcome["ratio_monotonicity"]
     assert outcome["fixed_point_properties"]
+
+
+@pytest.mark.parametrize("domain", [OutputDomain(0.0, 1.0, 0.5), FAR_DOMAIN])
+def test_run_all_checks_records_the_scale_it_checked(domain):
+    budget = FAR_BUDGET if domain is FAR_DOMAIN else BUDGET
+    b_star = calibrate(domain, budget).b_star
+    b0 = baseline_scale(domain, budget)
+    for scale, want in ((None, b_star), (b0, b0)):
+        report = run_all_checks(domain, budget, scale=scale, q_grid=8, set_grid=8,
+                                samples=0)
+        assert report.scale == want
+        assert report.checks[1].witness["scale"] == want
+        assert list(report.to_dict()) == ["all_passed", "checks", "scale"]
+        assert report.to_dict()["scale"] == want
 
 
 def test_report_serializes_to_json():
