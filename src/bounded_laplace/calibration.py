@@ -159,15 +159,19 @@ def _log_axis(start, stop, steps):
     """``steps >= 1`` log-spaced points from exactly ``start`` to exactly
     ``stop``, which ``10 ** log10`` can miss by an ulp; one step is ``[start]``."""
     axis = np.logspace(math.log10(start), math.log10(stop), steps)
-    axis[-1] = stop
-    axis[0] = start
+    axis[-1], axis[0] = stop, start  # in this order, so one step is [start]
     return axis
 
 
+# The default sweep axes as (first, last, steps), the sweep flags' defaults.
+SWEEP_SENSITIVITIES = (1e-3, 1.0, 50)
+SWEEP_EPSILONS = (1e-2, 10.0, 50)
+
+
 def default_sweep_grid():
-    """The CLI's sweep axes: 50 log-spaced sensitivities from 1e-3 to 1 and
-    50 log-spaced epsilons from 1e-2 to 10, each exact at both ends."""
-    return _log_axis(1e-3, 1.0, 50), _log_axis(1e-2, 10.0, 50)
+    """The CLI's default sweep axes, log-spaced from ``SWEEP_SENSITIVITIES``
+    and ``SWEEP_EPSILONS`` and each exact at both ends."""
+    return _log_axis(*SWEEP_SENSITIVITIES), _log_axis(*SWEEP_EPSILONS)
 
 
 def epsilon_ratio_grid(domain_width, sensitivities, epsilons):

@@ -14,7 +14,8 @@ import sys
 
 import numpy as np
 
-from .calibration import _log_axis, calibrate, epsilon_ratio_grid
+from .calibration import (SWEEP_EPSILONS, SWEEP_SENSITIVITIES, _log_axis, calibrate,
+                          epsilon_ratio_grid)
 from .mechanism import CalibratedMechanism, OutputDomain, PrivacyBudget, sample_truncated
 from .verification import EMPIRICAL_SAMPLES, SCAN_GRID, run_all_checks
 
@@ -91,9 +92,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    domain, budget = _domain_budget(args)
     rng = _make_rng(args.seed) if args.samples else None
-    report = run_all_checks(domain, budget, scale=args.b, q_grid=args.q_grid,
+    report = run_all_checks(*_domain_budget(args), scale=args.b, q_grid=args.q_grid,
                             set_grid=args.set_grid, rng=rng, samples=args.samples)
     if args.format == "json":
         print(_json(report.to_dict()))
@@ -185,14 +185,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sweep", help="budget-inflation grid as CSV")
-    p.add_argument("--width", type=float, default=1.0, help="domain width (lower=0)")
-    p.add_argument("--dq-min", type=float, default=1e-3, dest="dq_min")
-    p.add_argument("--dq-max", type=float, default=None, dest="dq_max",
-                   help="default: the domain width")
-    p.add_argument("--dq-steps", type=int, default=50, dest="dq_steps")
-    p.add_argument("--eps-min", type=float, default=1e-2, dest="eps_min")
-    p.add_argument("--eps-max", type=float, default=10.0, dest="eps_max")
-    p.add_argument("--eps-steps", type=int, default=50, dest="eps_steps")
+    dq_min, width, dq_steps = SWEEP_SENSITIVITIES
+    eps_min, eps_max, eps_steps = SWEEP_EPSILONS
+    p.add_argument("--width", type=float, default=width, help="domain width (lower=0)")
+    p.add_argument("--dq-min", type=float, default=dq_min, dest="dq_min")
+    p.add_argument("--dq-max", type=float, dest="dq_max", help="default: the domain width")
+    p.add_argument("--dq-steps", type=int, default=dq_steps, dest="dq_steps")
+    p.add_argument("--eps-min", type=float, default=eps_min, dest="eps_min")
+    p.add_argument("--eps-max", type=float, default=eps_max, dest="eps_max")
+    p.add_argument("--eps-steps", type=int, default=eps_steps, dest="eps_steps")
     p.set_defaults(func=_cmd_sweep)
 
     return parser

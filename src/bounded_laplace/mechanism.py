@@ -298,20 +298,15 @@ class CalibratedMechanism:
         """Inverse-transform sample(s) using uniforms from the open (0, 1).
 
         Exact zeros from the generator are redrawn so p = 0 can never leak a
-        domain endpoint.  Draws are made ``BLOCK`` at a time into the result,
-        with one block of scratch.  Returns a float for ``size=None``, else a
-        fresh array.
+        domain endpoint.  Draws ``BLOCK`` at a time into the result, with one
+        block of scratch.  Returns a float for ``size=None``, else a fresh array.
         """
         n = _sample_count(size)
         qa = self.domain.require_query(q)
-        if n <= BLOCK:  # the block is the result; slicing it adds 5% to a single draw
-            x = self._fill_inverse(qa, rng, _quantile_buffers(n))
-        else:
-            x = np.empty(n)
-            _, above, mask = _quantile_buffers(BLOCK)
-            for start in range(0, n, BLOCK):
-                out = x[start:start + BLOCK]
-                self._fill_inverse(qa, rng, (out, above[:out.size], mask[:out.size]))
+        x = np.empty(n)
+        for start in range(0, n, BLOCK):
+            out = x[start:start + BLOCK]
+            self._fill_inverse(qa, rng, (out, np.empty(out.size), np.empty(out.size, bool)))
         return float(x[0]) if size is None else x
 
     def _fill_inverse(self, qa, rng, buffers):
