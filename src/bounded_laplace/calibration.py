@@ -16,8 +16,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import CalibrationInfeasibleError
-from .mechanism import OutputDomain, PrivacyBudget, _log_ratio, _require_scale
+from .errors import CalibrationInfeasibleError, UnsatisfiableBudgetError
+from .mechanism import (CalibratedMechanism, OutputDomain, PrivacyBudget, _log_ratio,
+                        _require_scale)
 
 __all__ = [
     "CalibrationReport",
@@ -58,9 +59,17 @@ def baseline_scale(domain, budget) -> float:
     """Scale making the unbounded mechanism private: sensitivity / (eps - log(1 - delta)).
 
     The budget's own validation guarantees the denominator is positive
-    (epsilon and delta are not both zero, delta < 1).
+    (epsilon and delta are not both zero, delta < 1).  Raises
+    ``UnsatisfiableBudgetError`` when the quotient overflows: no double
+    scale, and so no calibrated one, is then large enough.
     """
-    return domain.sensitivity / (budget.epsilon - math.log1p(-budget.delta))
+    eps_prime = budget.epsilon - math.log1p(-budget.delta)
+    b0 = domain.sensitivity / eps_prime
+    if b0 == math.inf:
+        raise UnsatisfiableBudgetError(
+            f"baseline scale sensitivity / epsilon' = {domain.sensitivity!r} / "
+            f"{eps_prime!r} overflows a double")
+    return b0
 
 
 def fixed_point_operator(domain, budget, b) -> float:
@@ -125,6 +134,14 @@ def calibrate(domain, budget):
         iterations=iterations,
         effective_epsilon=budget.epsilon - float(_log_ratio(domain, b_star)),
     )
+
+
+def _mechanism_at(domain, budget, scale):
+    """The mechanism at ``scale``, or at ``calibrate(domain, budget).b_star``
+    when ``scale`` is None: the one owner of the default scale."""
+    if scale is None:
+        scale = calibrate(domain, budget).b_star
+    return CalibratedMechanism(domain, budget, scale)
 
 
 def achieved_epsilon(domain, b, delta: float = 0.0) -> float:

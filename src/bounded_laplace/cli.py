@@ -14,9 +14,9 @@ import sys
 
 import numpy as np
 
-from .calibration import (SWEEP_EPSILONS, SWEEP_SENSITIVITIES, _log_axis, calibrate,
-                          epsilon_ratio_grid)
-from .mechanism import CalibratedMechanism, OutputDomain, PrivacyBudget, sample_truncated
+from .calibration import (SWEEP_EPSILONS, SWEEP_SENSITIVITIES, _log_axis, _mechanism_at,
+                          calibrate, epsilon_ratio_grid)
+from .mechanism import OutputDomain, PrivacyBudget, sample_truncated
 from .verification import EMPIRICAL_SAMPLES, SCAN_GRID, run_all_checks
 
 
@@ -68,18 +68,16 @@ def _cmd_calibrate(args) -> int:
 def _cmd_sample(args) -> int:
     domain, budget = _domain_budget(args)
     q = float(domain.require_query(args.q))
-    scale = args.b if args.b is not None else calibrate(domain, budget).b_star
+    mech = _mechanism_at(domain, budget, args.b)
     rng = _make_rng(args.seed)
     if args.sampler == "truncated":
-        values = sample_truncated(domain, q, scale, rng, size=args.n)
+        values = sample_truncated(domain, q, mech.scale, rng, size=args.n)
+    elif args.sampler == "rejection":
+        values, _ = mech.sample_rejection(q, rng, size=args.n)
     else:
-        mech = CalibratedMechanism(domain, budget, scale)
-        if args.sampler == "rejection":
-            values, _ = mech.sample_rejection(q, rng, size=args.n)
-        else:
-            values = mech.sample_inverse(q, rng, size=args.n)
+        values = mech.sample_inverse(q, rng, size=args.n)
     if args.format == "json":
-        print(_json({"scale": float(scale), "values": [float(v) for v in values]}))
+        print(_json({"scale": mech.scale, "values": [float(v) for v in values]}))
     elif args.format == "csv":
         w = _csv_writer()
         w.writerow(["value"])

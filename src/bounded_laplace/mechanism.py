@@ -235,9 +235,10 @@ class CalibratedMechanism:
         pa = np.asarray(p, dtype=float)
         if np.any(~np.isfinite(pa)) or np.any((pa < 0.0) | (pa > 1.0)):
             raise ValueError(f"probability must lie in [0, 1], got {p!r}")
-        buffers = _quantile_buffers(np.broadcast(qa, pa).shape)
+        shape = np.broadcast(qa, pa).shape
         with np.errstate(divide="ignore"):  # log(0) at p = 0 or 1, mapped below
-            out = self._quantile(qa, pa, buffers)
+            out = self._quantile(qa, pa, (np.empty(shape), np.empty(shape),
+                                          np.empty(shape, dtype=bool)))
         np.copyto(out, self.domain.lower, where=pa == 0.0)
         np.copyto(out, self.domain.upper, where=pa == 1.0)
         return float(out) if out.ndim == 0 else out
@@ -251,10 +252,10 @@ class CalibratedMechanism:
         700 scales, so that ``e^{(q-edge)/b}`` could overflow, the same inverse
         is anchored at q, ``x = q + b log(e^{-(q-lower)/b} + 2 p C)``.
 
-        ``buffers`` is ``(out, above, mask)`` from :func:`_quantile_buffers`,
-        each of the broadcast shape; ``out`` may be ``pa`` itself, which is
-        then overwritten.  Only the branches that some p falls in are
-        evaluated, the result is built in ``out``, and ``out`` is returned.
+        ``buffers`` is ``(out, above, mask)``, each of the broadcast shape and
+        ``mask`` boolean; ``out`` may be ``pa`` itself, which is then
+        overwritten.  Only the branches that some p falls in are evaluated,
+        the result is built in ``out``, and ``out`` is returned.
         When both branches are needed, the upper one is built in ``above``
         and merged by a bitwise select on int64 views: the same bits as a
         masked copy, without the copy's branch mispredictions on a random mask.
@@ -298,31 +299,24 @@ class CalibratedMechanism:
         """Inverse-transform sample(s) using uniforms from the open (0, 1).
 
         Exact zeros from the generator are redrawn so p = 0 can never leak a
-        domain endpoint.  Draws ``BLOCK`` at a time into the result, with one
-        block of scratch.  Returns a float for ``size=None``, else a fresh array.
+        domain endpoint.  Draws ``BLOCK`` uniforms at a time into the result
+        and transforms them there, with one block of scratch allocated per
+        call.  Returns a float for ``size=None``, else a fresh array.
         """
         n = _sample_count(size)
         qa = self.domain.require_query(q)
         x = np.empty(n)
+        above, mask = np.empty(min(n, BLOCK)), np.empty(min(n, BLOCK), dtype=bool)
         for start in range(0, n, BLOCK):
-            out = x[start:start + BLOCK]
-            self._fill_inverse(qa, rng, (out, np.empty(out.size), np.empty(out.size, bool)))
+            u = x[start:start + BLOCK]
+            if u.size < above.size:  # the short last block of a long draw
+                above, mask = above[:u.size], mask[:u.size]
+            rng.random(out=u)
+            while np.minimum.reduce(u) == 0.0:
+                zero = u == 0.0
+                u[zero] = rng.random(np.count_nonzero(zero))
+            self._quantile(qa, u, (u, above, mask))
         return float(x[0]) if size is None else x
-
-    def _fill_inverse(self, qa, rng, buffers):
-        """:meth:`sample_inverse` at a validated query, into ``buffers``.
-
-        Draws the uniforms into ``out``, the first of the 1-d ``buffers``
-        (see :meth:`_quantile`), and transforms them there in place, so a
-        caller that passes the same buffers for every block allocates
-        nothing per block.  Returns ``out``.
-        """
-        u = buffers[0]
-        rng.random(out=u)
-        while np.minimum.reduce(u) == 0.0:
-            zero = u == 0.0
-            u[zero] = rng.random(np.count_nonzero(zero))
-        return self._quantile(qa, u, buffers)
 
     def sample_rejection(self, q, rng, size=None):
         """Redraw unbounded Laplace(q, scale) until a draw lands in the domain.
@@ -353,11 +347,6 @@ class CalibratedMechanism:
         if size is None:
             return float(values[0]), int(draws[0])
         return values, draws
-
-
-def _quantile_buffers(shape):
-    """Fresh ``(out, above, mask)`` scratch of ``shape`` for ``_quantile``."""
-    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
 
 
 def _sample_count(size):

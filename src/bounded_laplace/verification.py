@@ -32,9 +32,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._kernels import worst_interval_margin
-from .calibration import achieved_epsilon, baseline_scale, calibrate, fixed_point_operator
-from .mechanism import (BLOCK, CalibratedMechanism, _inside_mass, _quantile_buffers,
-                        _require_scale, normalizer_ratio)
+from .calibration import _mechanism_at, achieved_epsilon, baseline_scale, fixed_point_operator
+from .mechanism import BLOCK, _inside_mass, _require_scale, normalizer_ratio
 
 __all__ = [
     "CheckResult",
@@ -283,22 +282,18 @@ def check_fixed_point_properties(domain, budget) -> CheckResult:
 
 
 def _sampled_counts(mech, q, rng, samples, edges):
-    """Histogram over ``edges`` of ``samples`` inverse-transform draws at q,
-    drawn and counted ``BLOCK`` at a time, as ``sample_inverse`` draws them.
+    """Histogram over ``edges`` of ``samples`` draws of ``mech.sample_inverse``
+    at q, drawn and counted ``BLOCK`` at a time.
 
-    Every block is drawn into the same buffers, allocated once, and sorted
-    there; the edges are located in it by binary search, as ``np.histogram``
-    does for explicit edges but without its copy of the block: ``cum[k]``
-    counts the draws below ``edges[k]``, and the last entry those up to and
-    including ``edges[-1]``, so every bin is half-open except the last,
-    which is closed.
+    Each block is sorted in place and the edges are located in it by binary
+    search, as ``np.histogram`` does for explicit edges but without its copy
+    of the block: ``cum[k]`` counts the draws below ``edges[k]``, and the
+    last entry those up to and including ``edges[-1]``, so every bin is
+    half-open except the last, which is closed.
     """
-    qa = np.asarray(q, dtype=float)
-    buffers = _quantile_buffers(min(BLOCK, samples))
     cum = np.zeros(edges.size, dtype=np.intp)
     for start in range(0, samples, BLOCK):
-        size = min(BLOCK, samples - start)
-        block = mech._fill_inverse(qa, rng, [buf[:size] for buf in buffers])
+        block = mech.sample_inverse(q, rng, size=min(BLOCK, samples - start))
         block.sort()
         cum[:-1] += block.searchsorted(edges[:-1], "left")
         cum[-1:] += block.searchsorted(edges[-1:], "right")
@@ -317,9 +312,10 @@ def empirical_privacy_estimate(mech, q, q_prime, samples: int = EMPIRICAL_SAMPLE
     half the bins qualify, and the check fails only for a reliable estimate
     more than ``EMPIRICAL_SLACK`` above epsilon.
 
-    The draws are counted a block at a time, so working memory is
-    O(block + bins) whatever ``samples`` is.  The counts are those of
-    ``np.histogram`` over ``edges`` of ``sample_inverse`` draws from the
+    The draws are made by ``mech.sample_inverse``, the sampler users call,
+    and counted a block at a time, so working memory is O(block + bins)
+    whatever ``samples`` is.  The counts are those of ``np.histogram`` over
+    ``edges`` of one ``sample_inverse`` call of ``samples`` draws from the
     same generator state.
     """
     d = mech.domain
@@ -357,15 +353,14 @@ def run_all_checks(domain, budget, scale=None, q_grid: int = SCAN_GRID,
                    samples: int = EMPIRICAL_SAMPLES) -> VerificationReport:
     """Run the full check suite against one mechanism.
 
-    ``scale=None`` checks ``calibrate(domain, budget).b_star``; passing the
-    baseline scale instead is the canonical way to reproduce the
-    non-guarantee.  The report records the scale checked.  ``q_grid`` and
-    ``set_grid`` size the grid check.  ``samples=0`` skips the empirical
-    estimate, which runs on the worst-case pair.
+    ``scale=None`` checks ``calibrate(domain, budget).b_star``, the default
+    the CLI's ``sample`` draws at too; passing the baseline scale instead is
+    the canonical way to reproduce the non-guarantee.  The report records
+    the scale checked.  ``q_grid`` and ``set_grid`` size the grid check.
+    ``samples=0`` skips the empirical estimate, which runs on the
+    worst-case pair.
     """
-    if scale is None:
-        scale = calibrate(domain, budget).b_star
-    mech = CalibratedMechanism(domain, budget, scale)
+    mech = _mechanism_at(domain, budget, scale)
     checks = [
         check_privacy_inequality(mech, q_grid, set_grid),
         check_sufficient_condition(mech),

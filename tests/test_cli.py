@@ -241,6 +241,39 @@ def test_verify_json_scale_is_the_reports(override, capsys):
     assert payload["scale"] == scale
 
 
+@pytest.mark.parametrize("override", [[], ["--b", "0.3"]])
+def test_sample_and_verify_print_one_default_scale(override, capsys):
+    scale = 0.3 if override else calibrate(OutputDomain(0.0, 1.0, 0.5),
+                                           PrivacyBudget(1.0, 0.0)).b_star
+    sample = ["sample", *BASE, "--sensitivity", "0.5", "--q", "0.3", "--seed", "1"]
+    for argv, code in [
+        ([*sample, "--sampler", "inverse"], 0),
+        ([*sample, "--sampler", "rejection"], 0),
+        ([*sample, "--sampler", "truncated"], 0),
+        # 0.3 lies below b_star, so the grid check fails there
+        (["verify", *BASE, "--sensitivity", "0.5", "--samples", "0", "--q-grid", "20",
+          "--set-grid", "20"], 1 if override else 0),
+    ]:
+        got_code, out, _ = run_cli([*argv, *override, "--format", "json"], capsys)
+        assert got_code == code, argv
+        assert json.loads(out)["scale"] == scale, argv
+
+
+@pytest.mark.parametrize("command", [
+    ["calibrate"],
+    ["sample", "--q", "0.3"],
+    ["verify", "--b", "1", "--samples", "0", "--q-grid", "20", "--set-grid", "20"],
+])
+def test_overflowing_baseline_scale_is_typed_error(command, capsys):
+    # epsilon 1e-320: before, the error named an infinite scale nobody passed
+    code, out, err = run_cli(
+        [command[0], "--epsilon", "1e-320", "--lower", "0", "--upper", "1",
+         "--sensitivity", "0.5", *command[1:]], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: baseline scale sensitivity / epsilon' = 0.5 / 1e-320 "
+                   "overflows a double\n")
+
+
 def test_verify_csv_report(capsys):
     code, out, _ = run_cli(
         ["verify", *BASE, "--sensitivity", "0.5", "--format", "csv",

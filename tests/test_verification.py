@@ -488,8 +488,8 @@ def test_empirical_estimate_blocks_match_one_shot_draws(domain, budget, samples,
     (OutputDomain(0.0, 1.0, 0.5), 1e-3, 0.4),   # width above 700 scales: log form
 ])
 def test_sampled_counts_equal_histogram_of_sample_inverse(domain, scale, q):
-    # a partial block follows two full ones, so a stale tail of the reused
-    # buffers would be counted
+    # a partial block follows two full ones, so a stale tail of the scratch
+    # that sample_inverse reuses across blocks would be counted
     mech = CalibratedMechanism(domain, BUDGET, scale)
     samples = 2 * mechanism.BLOCK + 123
     edges = np.linspace(domain.lower, domain.upper, 51)
@@ -502,17 +502,18 @@ def test_sampled_counts_equal_histogram_of_sample_inverse(domain, scale, q):
 
 
 class _ReplaySampler:
-    """Stands in for a mechanism whose ``_fill_inverse`` writes the next
-    entries of a fixed array into the buffer it is given."""
+    """Stands in for a mechanism whose ``sample_inverse`` returns a fresh copy
+    of the next ``size`` entries of a fixed array, at most ``BLOCK`` a call."""
 
     def __init__(self, values):
         self.values = values
         self.served = 0
 
-    def _fill_inverse(self, qa, rng, buffers):
-        out = buffers[0]
-        out[:] = self.values[self.served:self.served + out.size]
-        self.served += out.size
+    def sample_inverse(self, q, rng, size):
+        assert 1 <= size <= mechanism.BLOCK
+        out = self.values[self.served:self.served + size].copy()
+        assert out.size == size
+        self.served += size
         return out
 
 
