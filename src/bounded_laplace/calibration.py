@@ -17,8 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import CalibrationInfeasibleError, UnsatisfiableBudgetError
-from .mechanism import (CalibratedMechanism, OutputDomain, PrivacyBudget, _log_ratio,
-                        _require_scale)
+from .mechanism import OutputDomain, PrivacyBudget, _log_ratio, _require_scale
 
 __all__ = [
     "CalibrationReport",
@@ -60,15 +59,14 @@ def baseline_scale(domain, budget) -> float:
 
     The budget's own validation guarantees the denominator is positive
     (epsilon and delta are not both zero, delta < 1).  Raises
-    ``UnsatisfiableBudgetError`` when the quotient overflows: no double
-    scale, and so no calibrated one, is then large enough.
+    ``UnsatisfiableBudgetError`` if the quotient overflows or underflows to 0.
     """
     eps_prime = budget.epsilon - math.log1p(-budget.delta)
     b0 = domain.sensitivity / eps_prime
-    if b0 == math.inf:
+    if not 0.0 < b0 < math.inf:
         raise UnsatisfiableBudgetError(
             f"baseline scale sensitivity / epsilon' = {domain.sensitivity!r} / "
-            f"{eps_prime!r} overflows a double")
+            f"{eps_prime!r} {'overflows' if b0 else 'underflows'} a double")
     return b0
 
 
@@ -134,14 +132,6 @@ def calibrate(domain, budget):
         iterations=iterations,
         effective_epsilon=budget.epsilon - float(_log_ratio(domain, b_star)),
     )
-
-
-def _mechanism_at(domain, budget, scale):
-    """The mechanism at ``scale``, or at ``calibrate(domain, budget).b_star``
-    when ``scale`` is None: the one owner of the default scale."""
-    if scale is None:
-        scale = calibrate(domain, budget).b_star
-    return CalibratedMechanism(domain, budget, scale)
 
 
 def achieved_epsilon(domain, b, delta: float = 0.0) -> float:

@@ -14,10 +14,10 @@ import sys
 
 import numpy as np
 
-from .calibration import (SWEEP_EPSILONS, SWEEP_SENSITIVITIES, _log_axis, _mechanism_at,
-                          calibrate, epsilon_ratio_grid)
+from .calibration import (SWEEP_EPSILONS, SWEEP_SENSITIVITIES, _log_axis, calibrate,
+                          epsilon_ratio_grid)
 from .mechanism import OutputDomain, PrivacyBudget, sample_truncated
-from .verification import EMPIRICAL_SAMPLES, SCAN_GRID, run_all_checks
+from .verification import EMPIRICAL_SAMPLES, SCAN_GRID, _mechanism_at, run_all_checks
 
 
 def _fmt(x) -> str:

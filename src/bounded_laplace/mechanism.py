@@ -299,14 +299,15 @@ class CalibratedMechanism:
         """Inverse-transform sample(s) using uniforms from the open (0, 1).
 
         Exact zeros from the generator are redrawn so p = 0 can never leak a
-        domain endpoint.  Draws ``BLOCK`` uniforms at a time into the result
-        and transforms them there, with one block of scratch allocated per
-        call.  Returns a float for ``size=None``, else a fresh array.
+        domain endpoint.  Draws ``BLOCK`` at a time into the result, with one
+        block of scratch per call.  Returns a float for ``size=None``, else a fresh array.
         """
         n = _sample_count(size)
         qa = self.domain.require_query(q)
-        x = np.empty(n)
+        # scratch before the result, so what a call frees is not the top of the
+        # heap, which malloc would hand back to the OS between a caller's blocks
         above, mask = np.empty(min(n, BLOCK)), np.empty(min(n, BLOCK), dtype=bool)
+        x = np.empty(n)
         for start in range(0, n, BLOCK):
             u = x[start:start + BLOCK]
             if u.size < above.size:  # the short last block of a long draw

@@ -32,8 +32,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._kernels import worst_interval_margin
-from .calibration import _mechanism_at, achieved_epsilon, baseline_scale, fixed_point_operator
-from .mechanism import BLOCK, _inside_mass, _require_scale, normalizer_ratio
+from .calibration import achieved_epsilon, baseline_scale, calibrate, fixed_point_operator
+from .mechanism import (BLOCK, CalibratedMechanism, _inside_mass, _require_scale,
+                        normalizer_ratio)
 
 __all__ = [
     "CheckResult",
@@ -348,17 +349,24 @@ def empirical_privacy_estimate(mech, q, q_prime, samples: int = EMPIRICAL_SAMPLE
                        float(margin), witness)
 
 
+def _mechanism_at(domain, budget, scale):
+    """The mechanism at ``scale``, or at ``calibrate(domain, budget).b_star``
+    when it is None: the default scale of ``run_all_checks`` and ``sample``."""
+    if scale is None:
+        scale = calibrate(domain, budget).b_star
+    return CalibratedMechanism(domain, budget, scale)
+
+
 def run_all_checks(domain, budget, scale=None, q_grid: int = SCAN_GRID,
                    set_grid: int = SCAN_GRID, rng=None,
                    samples: int = EMPIRICAL_SAMPLES) -> VerificationReport:
     """Run the full check suite against one mechanism.
 
-    ``scale=None`` checks ``calibrate(domain, budget).b_star``, the default
-    the CLI's ``sample`` draws at too; passing the baseline scale instead is
-    the canonical way to reproduce the non-guarantee.  The report records
-    the scale checked.  ``q_grid`` and ``set_grid`` size the grid check.
-    ``samples=0`` skips the empirical estimate, which runs on the
-    worst-case pair.
+    ``scale=None`` checks ``calibrate(domain, budget).b_star``, as ``sample``
+    draws at; the baseline scale instead reproduces the non-guarantee.  The
+    report records the scale checked.  ``q_grid`` and ``set_grid`` size the
+    grid check.  ``samples=0`` skips the empirical estimate, which runs on
+    the worst-case pair.
     """
     mech = _mechanism_at(domain, budget, scale)
     checks = [

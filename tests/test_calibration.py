@@ -45,15 +45,19 @@ def test_baseline_scale_delta_only():
     assert baseline_scale(UNIT_FULL, budget) == pytest.approx(1.0, rel=1e-15)
 
 
-@pytest.mark.parametrize("budget", [PrivacyBudget(1e-320, 0.0), PrivacyBudget(0.0, 1e-320)])
-def test_overflowing_baseline_scale_is_unsatisfiable(budget):
-    # 0.5 / 1e-320 overflows; the error names the quotient, not the infinite
-    # scale the fixed-point operator would otherwise be handed
-    message = "baseline scale sensitivity / epsilon' = 0.5 / 1e-320 overflows a double"
+@pytest.mark.parametrize("domain, budget, message", [
+    (UNIT_HALF, PrivacyBudget(1e-320, 0.0), "0.5 / 1e-320 overflows a double"),
+    (UNIT_HALF, PrivacyBudget(0.0, 1e-320), "0.5 / 1e-320 overflows a double"),
+    (OutputDomain(0.0, 1.0, 1e-300), PrivacyBudget(1e308, 0.0),
+     "1e-300 / 1e+308 underflows a double"),
+])
+def test_overflowing_baseline_scale_is_unsatisfiable(domain, budget, message):
+    # the error names the quotient, not the infinite or zero scale the
+    # fixed-point operator would otherwise be handed
     for solve in (baseline_scale, calibrate):
         with pytest.raises(UnsatisfiableBudgetError) as exc:
-            solve(UNIT_HALF, budget)
-        assert str(exc.value) == message
+            solve(domain, budget)
+        assert str(exc.value) == "baseline scale sensitivity / epsilon' = " + message
 
 
 def test_zero_budget_is_rejected_at_construction():

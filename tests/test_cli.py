@@ -264,14 +264,18 @@ def test_sample_and_verify_print_one_default_scale(override, capsys):
     ["sample", "--q", "0.3"],
     ["verify", "--b", "1", "--samples", "0", "--q-grid", "20", "--set-grid", "20"],
 ])
-def test_overflowing_baseline_scale_is_typed_error(command, capsys):
-    # epsilon 1e-320: before, the error named an infinite scale nobody passed
+@pytest.mark.parametrize("epsilon, sensitivity, message", [
+    ("1e-320", "0.5", "0.5 / 1e-320 overflows a double"),
+    ("700", "5e-324", "5e-324 / 700.0 underflows a double"),
+])
+def test_overflowing_baseline_scale_is_typed_error(command, epsilon, sensitivity, message,
+                                                   capsys):
+    # before, the error named an infinite or zero scale nobody passed
     code, out, err = run_cli(
-        [command[0], "--epsilon", "1e-320", "--lower", "0", "--upper", "1",
-         "--sensitivity", "0.5", *command[1:]], capsys)
+        [command[0], "--epsilon", epsilon, "--lower", "0", "--upper", "1",
+         "--sensitivity", sensitivity, *command[1:]], capsys)
     assert (code, out) == (2, "")
-    assert err == ("error: baseline scale sensitivity / epsilon' = 0.5 / 1e-320 "
-                   "overflows a double\n")
+    assert err == f"error: baseline scale sensitivity / epsilon' = {message}\n"
 
 
 def test_verify_csv_report(capsys):
