@@ -36,10 +36,11 @@ class CalibrationReport:
     """Result of a calibration run.
 
     ``b0`` is the unbounded-mechanism scale, ``[b0, f_b0]`` the search
-    bracket, ``b_star`` the fixed point, ``residual`` the final
-    ``|f(b_star) - b_star|`` and ``effective_epsilon`` the budget actually
-    spent by the underlying Laplace distribution
-    (``epsilon - log(normalizer_ratio(b_star))``).  For delta > 0 the
+    bracket (``f_b0`` is ``f(b0)`` rounded up one ulp, or ``b0`` when the
+    sensitivity spans the domain), ``b_star`` the private end of the final
+    bracket, ``residual`` the final ``|f(b_star) - b_star|`` and
+    ``effective_epsilon`` the budget actually spent by the underlying
+    Laplace distribution (``epsilon - log(normalizer_ratio(b_star))``).  For delta > 0 the
     effective epsilon is a diagnostic, not a standalone privacy claim.
     """
 
@@ -97,40 +98,39 @@ def fixed_point_operator(domain, budget, b) -> float:
 
 
 def calibrate(domain, budget):
-    """Find the minimal private scale by bisecting ``f(b) - b`` on ``[b0, f(b0)]``.
+    """Find the minimal private scale by bisecting ``f(b) - b`` on ``[b0, f_b0]``.
 
-    Bisection halves the bracket until ``f(mid) = mid`` or ``lo`` and ``hi``
-    are adjacent doubles, and returns the end with the smaller residual
-    ``|f(b_star) - b_star|``.  The stop needs no tolerance: each step halves
-    ``hi - lo`` up to the rounding of ``mid``, and doubles above ``b0`` lie
-    at least ``b0 * 2**-53`` apart, so ``iterations <= 55 + log2(f_b0 / b0)``.
+    Bisection keeps ``f(lo) >= lo`` and ``f(hi) < hi`` until ``lo`` and
+    ``hi`` are adjacent doubles, and returns ``hi``: the private end, at most
+    one ulp above the smallest private double.  When the sensitivity spans
+    the domain, ``f(b0) = b0`` and ``b_star = f_b0 = b0``.  The stop needs no
+    tolerance: each step halves ``hi - lo`` up to the rounding of ``mid``,
+    and doubles above ``b0`` lie at least ``b0 * 2**-53`` apart, so
+    ``iterations <= 55 + log2(f_b0 / b0)``.
     """
     b0 = baseline_scale(domain, budget)
-    # f(b0) >= b0 mathematically; clamp sub-ulp rounding dust so the
-    # reported bracket is well ordered
-    f_b0 = max(fixed_point_operator(domain, budget, b0), b0)
+    f_b0 = b0
+    if domain.sensitivity < domain.width:
+        # f(b0) > b0 mathematically; clamping its rounding dust and going
+        # one ulp up keeps the exact fixed point inside the bracket
+        f_b0 = math.nextafter(max(fixed_point_operator(domain, budget, b0), b0), math.inf)
     lo, hi = b0, f_b0
-    g_lo = f_b0 - lo
     g_hi = fixed_point_operator(domain, budget, hi) - hi
     iterations = 0
-    while g_lo != 0.0:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break  # lo and hi are adjacent doubles
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         g_mid = fixed_point_operator(domain, budget, mid) - mid
         if g_mid >= 0.0:
-            lo, g_lo = mid, g_mid
+            lo = mid
         else:
             hi, g_hi = mid, g_mid
         iterations += 1
-    b_star, residual = (lo, abs(g_lo)) if abs(g_lo) <= abs(g_hi) else (hi, abs(g_hi))
     return CalibrationReport(
         b0=b0,
         f_b0=f_b0,
-        b_star=b_star,
-        residual=residual,
+        b_star=hi,
+        residual=abs(g_hi),
         iterations=iterations,
-        effective_epsilon=budget.epsilon - float(_log_ratio(domain, b_star)),
+        effective_epsilon=budget.epsilon - float(_log_ratio(domain, hi)),
     )
 
 

@@ -8,8 +8,7 @@ from the lower edge, so every translate of a domain gets the same result),
 and the fixed-point facts behind the calibration bracket, all by direct
 evaluation or central finite differences, and sample the worst-case pair.
 Every check returns a ``CheckResult``; a failing check is a report outcome,
-never an exception (the grid check refuses eps above log(DBL_MAX) with a
-ValueError).
+never an exception.
 
 Scope caveat: the privacy guarantee quantifies over all measurable output
 sets, while the grid check searches single intervals at finite resolution.
@@ -54,10 +53,8 @@ SCAN_GRID = 200
 PRIVACY_SLACK = 1e-9
 # The sufficient condition's allowance in units of u * eps', with u = 2**-53
 # and eps' = eps - log1p(-delta).  Evaluating achieved_epsilon errs by at most
-# 4u * eps' (s/b, log R, their sum, log1p(-delta), the last sum).  calibrate's
-# b_star lies at most one ulp (2u) below the exact root, and b times
-# achieved_epsilon(b) does not decrease in b, so it adds at most 2u * eps'.
-SUFFICIENT_ROUNDING = 6
+# 4u * eps' (s/b, log R, their sum, log1p(-delta), the last sum).
+SUFFICIENT_ROUNDING = 4
 # Central-difference step, relative to the natural scale of the variable.
 FD_STEP = 1e-6
 # Slack for finite-difference sign checks; absorbs the cancellation noise of
@@ -142,16 +139,18 @@ def check_privacy_inequality(mech, q_grid: int = SCAN_GRID,
     closed-form CDF differences for the interval probabilities.  The worst margin and
     the point achieving it are recorded either way.
 
-    Raises ``ValueError`` for a grid below 2 points, and, before any CDF is
-    evaluated, for eps above log(DBL_MAX): e^eps is then not a finite double,
-    and CDF entries far from q' underflow to 0, so no clamped e^eps is sound.
+    For eps above log(DBL_MAX) it refuses before any CDF is evaluated, and
+    fails with a NaN margin and the refusal in its witness: e^eps is then not
+    a finite double, and CDF entries far from q' underflow to 0, so no clamped
+    e^eps is sound.  Raises ``ValueError`` for a grid below 2 points.
     """
     budget = mech.budget
     eps_limit = math.log(sys.float_info.max)
     if budget.epsilon > eps_limit:
-        raise ValueError(
-            f"the grid privacy check needs a finite e^epsilon: epsilon "
-            f"{budget.epsilon} exceeds log(DBL_MAX) = {eps_limit}")
+        refusal = (f"the grid privacy check needs a finite e^epsilon: epsilon "
+                   f"{budget.epsilon} exceeds log(DBL_MAX) = {eps_limit}")
+        return CheckResult("privacy_inequality", False, math.nan,
+                           {"refused": refusal, "scale": float(mech.scale)})
     qs, xs, cdf, pair_a, pair_b = _scan_grid(mech, q_grid, set_grid)
     raw, pair_idx, i, j = worst_interval_margin(
         cdf, pair_a, pair_b, math.exp(budget.epsilon))

@@ -7,8 +7,6 @@ import numpy as np
 from scipy import integrate
 
 from bounded_laplace import (
-    CalibrationInfeasibleError,
-    CalibrationReport,
     CheckResult,
     OutputDomain,
     PrivacyBudget,
@@ -16,7 +14,7 @@ from bounded_laplace import (
     fixed_point_operator,
     normalizer_ratio,
 )
-from bounded_laplace.mechanism import _log_ratio, _require_scale, _sample_count
+from bounded_laplace.mechanism import _sample_count
 
 
 def random_problem(rng, span_fraction=None, eps_range=(1e-2, 10.0), delta_max=0.5):
@@ -91,6 +89,15 @@ def mp_normalizer_ratio(domain, b):
         return _mp_mass(lo + s, b, lo, hi) / _mp_mass(lo, b, lo, hi)
 
 
+def mp_achieved_epsilon(domain, b, delta):
+    """Exact ``s/b + log R(b) + log1p(-delta)`` at double inputs, to 60 digits:
+    the scale b is private at (eps, delta) iff this is at most eps."""
+    with mpmath.workdps(60):
+        return (mpmath.mpf(domain.sensitivity) / mpmath.mpf(b)
+                + mpmath.log(mp_normalizer_ratio(domain, b))
+                + mpmath.log1p(-mpmath.mpf(delta)))
+
+
 def damped_fixed_point(domain, budget, rel_tol=1e-14, max_steps=200_000):
     """Independent fixed-point oracle: damped iteration from the baseline scale.
 
@@ -110,67 +117,6 @@ def damped_fixed_point(domain, budget, rel_tol=1e-14, max_steps=200_000):
         prev = res
         b = b + lam * (fb - b)
     raise AssertionError("damped fixed-point iteration did not converge")
-
-
-def reference_fixed_point_operator(domain, budget, b):
-    """Oracle for ``fixed_point_operator``: the update map as it stood with
-    the baseline expression written out in its zero-ratio branch."""
-    b = _require_scale(b)
-    log_ratio = _log_ratio(domain, b)
-    if log_ratio == 0.0:
-        return domain.sensitivity / (budget.epsilon - math.log1p(-budget.delta))
-    gap = (
-        np.longdouble(budget.epsilon)
-        - log_ratio
-        - np.log1p(np.longdouble(-budget.delta))
-    )
-    if gap <= 0.0:
-        raise CalibrationInfeasibleError(
-            f"fixed-point update undefined at scale {b}: exponent budget "
-            f"{float(gap)} <= 0"
-        )
-    return float(np.longdouble(domain.sensitivity) / gap)
-
-
-def reference_calibrate(domain, budget, tolerance=1e-12, max_iterations=200):
-    """Oracle for ``calibrate``: the bisection as it stood with a tolerance
-    and an iteration cap, which raised when the cap ran out above the
-    tolerance.  ``calibrate`` must match it bitwise wherever it returns."""
-    if not tolerance > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
-    f = reference_fixed_point_operator
-    b0 = baseline_scale(domain, budget)
-    f_b0 = max(f(domain, budget, b0), b0)
-    lo, hi = b0, f_b0
-    g_lo = f_b0 - lo
-    g_hi = f(domain, budget, hi) - hi
-    iterations = 0
-    while g_lo != 0.0 and iterations < max_iterations:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        g_mid = f(domain, budget, mid) - mid
-        if g_mid >= 0.0:
-            lo, g_lo = mid, g_mid
-        else:
-            hi, g_hi = mid, g_mid
-        iterations += 1
-    b_star, residual = (lo, abs(g_lo)) if abs(g_lo) <= abs(g_hi) else (hi, abs(g_hi))
-    if iterations == max_iterations and residual > tolerance:
-        raise AssertionError(
-            f"bisection stopped after {iterations} iterations with residual "
-            f"{residual:.3e} > tolerance {tolerance:.3e}; last bracket [{lo}, {hi}]"
-        )
-    return CalibrationReport(
-        b0=b0,
-        f_b0=f_b0,
-        b_star=b_star,
-        residual=residual,
-        iterations=iterations,
-        effective_epsilon=budget.epsilon - float(_log_ratio(domain, b_star)),
-    )
 
 
 def reference_sufficient_condition(mech):

@@ -188,21 +188,36 @@ def test_verify_passes_far_from_zero(problem, capsys):
 
 
 def test_verify_passes_on_narrow_domain_at_large_epsilon(capsys):
-    # ratio slopes are per unit of width; per unit of length the rounding
-    # noise of this domain's log normalizers read as a 5.55e-8 margin
     code, out, err = run_cli(
         ["verify", "--epsilon", "50", "--lower", "0", "--upper", "0.001",
-         "--sensitivity", "0.0005", "--samples", "0"], capsys)
+         "--sensitivity", "0.0005", "--samples", "0", "--format", "json"], capsys)
     assert (code, err) == (0, "")
-    assert "ratio_monotonicity: PASS" in out
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    # ratio slopes are per unit of width; per unit of length the rounding
+    # noise of this domain's log normalizers read as a 5.55e-8 margin
+    assert checks["ratio_monotonicity"]["passed"]
+    # b_star is the private end of calibrate's bracket, so achieved_epsilon
+    # does not exceed epsilon even in its last digit
+    sufficient = checks["sufficient_condition"]
+    assert sufficient["worst_margin"] <= 0.0
+    assert sufficient["witness"]["achieved_epsilon"] <= 50.0
 
 
-def test_verify_epsilon_beyond_exp_range_is_typed_error(capsys):
+@pytest.mark.parametrize("scale", [[], ["--b", "10"]], ids=["b_star", "b10"])
+def test_verify_epsilon_beyond_exp_range_reports_refusal(scale, capsys):
+    # e^1000 is not a finite double: the grid check refuses and fails, and
+    # the other checks still report
     code, out, err = run_cli(
         ["verify", "--epsilon", "1000", "--lower", "0", "--upper", "1",
-         "--sensitivity", "0.5", "--samples", "0"], capsys)
-    assert (code, out) == (2, "")
-    assert "log(DBL_MAX)" in err
+         "--sensitivity", "0.5", "--samples", "0", "--format", "json", *scale], capsys)
+    assert (code, err) == (1, "")
+    grid, *others = json.loads(out)["checks"]
+    assert (grid["name"], grid["passed"], grid["worst_margin"]) == (
+        "privacy_inequality", False, None)
+    assert "exceeds log(DBL_MAX)" in grid["witness"]["refused"]
+    assert [c["name"] for c in others] == [
+        "sufficient_condition", "ratio_monotonicity", "fixed_point_properties"]
+    assert all(c["passed"] for c in others)
 
 
 def test_verify_grid_and_sample_defaults_are_the_library_constants():
@@ -323,14 +338,14 @@ PINNED = ["--epsilon", "1", "--lower", "0", "--upper", "1", "--sensitivity", "0.
 # updates them and says so in CHANGES.md.
 @pytest.mark.parametrize("argv, code, digest", [
     (["verify", *PINNED, "--seed", "7", "--format", "json"], 0,
-     "652764627f08e743a8d78bea57d4a073de57690ff286e9e619198b0ce9bc6809"),
+     "64194d4d86f943db6fe0552592b567b19c507e3d2fc14e86adb55e7b47608d03"),
     (["verify", *PINNED, "--b", "0.5", "--seed", "7", "--format", "json"], 1,
      "19be2cca768e5b9c8cea4b3e95e20643dbe6f4e994c2af131e159191c62ab7f4"),
     (["sample", *PINNED, "--q", "0.3", "--n", "100000", "--seed", "42",
       "--sampler", "inverse"], 0,
-     "db92cd7a174a7029f854123efcb596a9ac352ac8f86964c7cca0c53c4de23136"),
+     "6cae4c880ec85368a42d153c91cd1aed582481424e49e076f4d8f4831438957b"),
     (["sweep"], 0,
-     "a9a957f5512f04fa92a465d97ac0802dc6e5528546bca6381d690eae7fbf1b48"),
+     "e93f83aa3dc9b2b2a045f00eb3cfacb3186c50baf8e022df8d8e38d9a8f57f33"),
 ])
 def test_seeded_stdout_is_pinned(argv, code, digest, capsys):
     got_code, out, _ = run_cli(argv, capsys)

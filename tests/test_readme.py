@@ -4,14 +4,12 @@ and every command of its CLI block exits with the code its comment states."""
 import contextlib
 import io
 import re
-import shlex
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+from readme_cli import README, cli_commands
 
 
 def test_readme_quick_start_runs_and_prints_its_comments():
@@ -30,28 +28,7 @@ def test_readme_quick_start_runs_and_prints_its_comments():
     assert out.getvalue().splitlines() == expected
 
 
-def _cli_commands():
-    """(argv, exit code) of each command of the README's CLI block.
-
-    A command exits 0 unless its comment says ``exit <code>``; a trailing
-    ``> file`` redirection is dropped, since the test reads stdout itself.
-    """
-    match = re.search(r"## CLI\n.*?```sh\n(.*?)```", README.read_text(), re.S)
-    assert match, "README has no CLI block"
-    commands = []
-    for line in match.group(1).replace("\\\n", " ").splitlines():
-        command, _, comment = line.partition("#")
-        words = shlex.split(command)
-        if words:
-            assert words[0] == "bounded-laplace", line
-            if ">" in words:
-                words = words[:words.index(">")]
-            code = re.search(r"exit (\d+)", comment)
-            commands.append((words[1:], int(code.group(1)) if code else 0))
-    return commands
-
-
-CLI_COMMANDS = _cli_commands()
+CLI_COMMANDS = cli_commands()
 
 
 def test_readme_cli_block_covers_every_subcommand():

@@ -1,8 +1,8 @@
 import json
 import math
+import sys
 import tracemalloc
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -143,8 +143,12 @@ def test_privacy_check_rejects_epsilon_beyond_exp_range(monkeypatch):
         raise AssertionError("the CDF table was built")
 
     monkeypatch.setattr(verification, "_scan_grid", no_table)
-    with pytest.raises(ValueError, match="log\\(DBL_MAX\\)"):
-        check_privacy_inequality(mech, **FAST)
+    res = check_privacy_inequality(mech, **FAST)
+    assert not res.passed and math.isnan(res.worst_margin)
+    assert res.witness == {
+        "refused": "the grid privacy check needs a finite e^epsilon: epsilon 710.0 "
+                   f"exceeds log(DBL_MAX) = {math.log(sys.float_info.max)}",
+        "scale": mech.scale}
 
 
 def test_interval_probabilities_match_quadrature():
@@ -232,7 +236,7 @@ def test_sufficient_condition_passes_at_b_star_across_problem_family():
 
 
 def test_sufficient_condition_allowance_is_capped():
-    # at eps = 1e8 the uncapped allowance is 6.7e-8, and one ulp of
+    # at eps = 1e8 the uncapped allowance is 4.4e-8, and one ulp of
     # achieved_epsilon 1.5e-8; a margin above PRIVACY_SLACK still fails
     domain, budget = OutputDomain(0.0, 1.0, 0.5), PrivacyBudget(1e8)
     b = calibrate(domain, budget).b_star
@@ -241,20 +245,6 @@ def test_sufficient_condition_allowance_is_capped():
     res = check_sufficient_condition(CalibratedMechanism(domain, budget, b))
     assert res.worst_margin < verification.SUFFICIENT_ROUNDING * 2.0**-53 * budget.epsilon
     assert not res.passed
-
-
-def test_scale_times_log_ratio_does_not_decrease():
-    # SUFFICIENT_ROUNDING bounds calibrate's rounding through this fact:
-    # b * log R(b) rises from 0 toward s (w - s) / w as b grows (w = 1 here)
-    with mpmath.workdps(40):
-        for s in map(mpmath.mpf, ("1e-4", "0.01", "0.1", "0.5", "0.9", "0.999")):
-            prev = 0
-            for k in range(-320, 321):
-                b = mpmath.mpf(10) ** (mpmath.mpf(k) / 32)
-                ratio = mpmath.expm1(-s / b) * mpmath.expm1(-(1 - s) / b) / -mpmath.expm1(-1 / b)
-                value = b * mpmath.log1p(ratio)
-                assert value >= prev, (s, b)
-                prev = value
 
 
 # --------------------------------------------------------- ratio monotonicity
