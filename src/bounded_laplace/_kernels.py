@@ -1,10 +1,12 @@
 """Kernel for the grid privacy scan.
 
-The scan maximises ``P_q(A) - amp * P_q'(A)`` over every admissible query
-pair and every grid interval ``A = [x_i, x_j]``.  With ``d = F_q - amp *
-F_q'`` on the grid, that is ``max_{i<j} d[j] - d[i]`` per pair, computed as
-``max_j (d[j] - min(d[:j]))`` in one pass over the ``m`` grid columns, all
-pairs at once: O(pairs * m) time and O(pairs) working memory.
+The scan maximises ``P_q(A) - amp * P_q'(A)`` over query pairs and the
+intervals ``A = [x_i, x_j]`` of each pair's own set grid.  It receives one
+row per pair from each of two tables, ``F_q`` and ``F_q'`` at that pair's
+grid points; with ``d = F_q - amp * F_q'`` along a row, the worst interval
+is ``max_{i<j} d[j] - d[i]``, computed as ``max_j (d[j] - min(d[:j]))`` by a
+running minimum along the set axis, all pairs at once: O(pairs * m) time and
+memory, with no gather of rows.
 
 Single intervals suffice.  For q < q' the likelihood ratio p_q / p_q' of the
 bounded mechanism does not increase in x, so the increments of ``d`` change
@@ -17,56 +19,37 @@ import numpy as np
 __all__ = ["worst_interval_margin"]
 
 
-def worst_interval_margin(cdf, pair_a, pair_b, amp):
+def worst_interval_margin(rows_q, rows_q_prime, amp):
     """Maximise ``P_q(A) - amp * P_q'(A)`` over pairs and grid intervals.
 
-    ``cdf[r, k]`` holds the CDF of query row ``r`` at grid point ``x_k``;
-    rows ``pair_a[p]`` / ``pair_b[p]`` form the p-th query pair; ``A`` runs
-    over all intervals ``[x_i, x_j]`` with ``i < j``.
+    ``rows_q[p, k]`` and ``rows_q_prime[p, k]`` hold the CDFs of the p-th
+    pair's queries q and q' at its grid point ``x_k``; ``A`` runs over all
+    intervals ``[x_i, x_j]`` with ``i < j``.
 
     Returns ``(margin, pair_index, i, j)``: the worst set is
-    ``[x_i, x_j]`` for the query pair ``pair_index``.  Ties between equal
-    margins go to the lexicographically first ``(pair_index, i, j)``, and the
-    margin is the float difference ``d[j] - d[i]`` of the two entries it
-    names.  Raises ``ValueError`` for a table with fewer than 2 columns and
-    for empty, unequal or out-of-range pair indices, then makes the one pass
-    over the columns that the module docstring describes.
+    ``[x_i, x_j]`` of pair ``pair_index``.  Ties between equal margins go to
+    the lexicographically first ``(pair_index, i, j)``, and the margin is the
+    float difference ``d[j] - d[i]`` of the two entries it names.  Raises
+    ``ValueError`` unless both tables have the same 2-d shape with at least
+    one row and 2 columns.
     """
-    cdf = np.ascontiguousarray(cdf, dtype=np.float64)
-    pair_a = np.ascontiguousarray(pair_a, dtype=np.int64)
-    pair_b = np.ascontiguousarray(pair_b, dtype=np.int64)
+    f = np.asarray(rows_q, dtype=np.float64)
+    g = np.asarray(rows_q_prime, dtype=np.float64)
     amp = float(amp)
-    if cdf.ndim != 2 or cdf.shape[1] < 2:
-        raise ValueError(f"cdf must be 2-d with at least 2 grid columns, got {cdf.shape}")
-    if pair_a.shape != pair_b.shape or pair_a.ndim != 1 or pair_a.size == 0:
-        raise ValueError("pair index arrays must be equal-length, non-empty 1-d arrays")
-    for arr in (pair_a, pair_b):
-        if arr.min() < 0 or arr.max() >= cdf.shape[0]:
-            raise ValueError("pair indices out of range")
-    # One pass over the grid columns with three length-pairs vectors, plus
-    # one scratch: ``d`` (this column), ``low`` = min(d[:j]) and ``best`` =
-    # the best d[j] - low so far.  min and max are exact, so each gain is the
-    # float subtraction of the same two entries as in the quadratic scan.
-    # ``scaled`` multiplies each CDF entry by ``amp`` once, not once per pair
-    # that gathers it; the product of the same two doubles is the same.
-    cols = np.ascontiguousarray(cdf.T)
-    scaled = amp * cols
-    d = np.empty(pair_a.size)
-    tmp = np.empty(pair_a.size)
-    low = cols[0, pair_a] - scaled[0, pair_b]
-    best = np.full(pair_a.size, -np.inf)
-    for col, col_scaled in zip(cols[1:], scaled[1:]):
-        # indices were range-checked above; mode="clip" lets take write
-        # straight into ``out`` instead of buffering
-        np.take(col, pair_a, out=d, mode="clip")
-        np.subtract(d, np.take(col_scaled, pair_b, out=tmp, mode="clip"), out=d)
-        np.maximum(best, np.subtract(d, low, out=tmp), out=best)
-        np.minimum(low, d, out=low)
+    if f.shape != g.shape or f.ndim != 2 or f.shape[0] == 0 or f.shape[1] < 2:
+        raise ValueError("the two tables must share one 2-d shape with at least 1 row "
+                         f"and 2 grid columns, got {f.shape} and {g.shape}")
+    # min and max are exact, so each gain is the float subtraction of the
+    # same two entries as in the quadratic scan
+    d = amp * g
+    np.subtract(f, d, out=d)
+    gain = np.minimum.accumulate(d[:, :-1], axis=1)
+    np.subtract(d[:, 1:], gain, out=gain)
+    best = gain.max(axis=1)
     # argmax takes the first pair attaining the maximum
     bp = int(np.argmax(best))
     v = float(best[bp])
-    d = cdf[pair_a[bp]] - amp * cdf[pair_b[bp]]
-    bi, bj = _first_interval(d, v)
+    bi, bj = _first_interval(d[bp], v)
     return v, bp, bi, bj
 
 

@@ -1,21 +1,28 @@
 """Numerical certification of the privacy guarantee and its supporting claims.
 
-The headline check brute-forces the differential-privacy inequality over a
-grid of query pairs and a grid family of output intervals; the remaining
-checks validate the scalar sufficient condition through ``achieved_epsilon``,
-the monotonicity facts behind the worst-case pair location (on offsets
-from the lower edge, so every translate of a domain gets the same result),
-and the fixed-point facts behind the calibration bracket, all by direct
-evaluation or central finite differences, and sample the worst-case pair.
-Every check returns a ``CheckResult``; a failing check is a report outcome,
-never an exception.
+The headline check scans the differential-privacy inequality over query
+pairs exactly one sensitivity apart and a family of output intervals; the
+remaining checks validate the scalar sufficient condition through
+``achieved_epsilon``, the monotonicity facts behind the worst-case pair
+location (on offsets from the lower edge, so every translate of a domain
+gets the same result), and the fixed-point facts behind the calibration
+bracket, all by direct evaluation or central finite differences, and
+sample the worst-case pair.  Every check returns a ``CheckResult``; a
+failing check is a report outcome, never an exception.
 
 Scope caveat: the privacy guarantee quantifies over all measurable output
-sets, while the grid check searches single intervals at finite resolution.
-Single intervals lose nothing: the likelihood ratio of two queries is
-monotone in the output, so the worst set is an interval.  The grid check is
-a sound falsifier: any witness it reports is a real violation, but a pass is
-strong evidence rather than a proof.
+sets and all query pairs, while the grid check searches single intervals
+at finite resolution.  Single intervals lose nothing: the likelihood ratio
+of two queries is monotone in the output, so the worst set is an interval.
+Each grid query q is paired with ``min(q + sensitivity, upper)`` and
+``max(q - sensitivity, lower)``: for q < q' the worst set is a lower
+interval, on which the violation grows with q', so the farthest admissible
+partner is the worst.  Each q has its own set grid, the quantiles of q's law
+at equal steps of probability, so the grid follows the law however small the
+sensitivity or the scale is against the width.  The grid check is a sound
+falsifier: any witness it reports is a real violation, up to the rounding
+of the closed-form masses; a pass is evidence at the grid's resolution, not
+a proof.
 
 Grid sizes and the sample count are plain ints defaulting to ``SCAN_GRID``
 and ``EMPIRICAL_SAMPLES``, as the CLI's flags do; all else is a constant.
@@ -114,30 +121,55 @@ def _pair_tolerance(domain):
 
 
 def _scan_grid(mech, q_grid, set_grid):
-    """Query grid ``qs``, set grid ``xs``, the table ``cdf[r, k] = F_{qs[r]}(xs[k])``
-    and the admissible pairs ``(pair_a, pair_b)`` of rows of the privacy scan."""
+    """The tables of the privacy scan, one side at a time.
+
+    Queries ``qs`` form a ``q_grid`` linspace of the domain.  Query ``qs[r]``
+    has its own set grid ``xs[r, k] = quantile(qs[r], k / (set_grid - 1))``,
+    equal-mass under ``qs[r]`` with the domain edges at both ends, and the
+    table ``F_{qs[r]}(xs[r])`` is built once.  Each query is paired with
+    ``min(q + sensitivity, upper)`` and with ``max(q - sensitivity, lower)``,
+    a pair with q' == q dropped.  Returns ``(q, q_prime, xs, rows_q,
+    rows_q_prime)`` per side that has a pair, the q + sensitivity side
+    first: one entry per pair, ``rows_q_prime = F_{q'}`` at the pair's grid
+    points.
+    """
     if q_grid < 2 or set_grid < 2:
         raise ValueError("grid sizes must be at least 2")
     d = mech.domain
     qs = np.linspace(d.lower, d.upper, q_grid)
-    xs = np.linspace(d.lower, d.upper, set_grid)
-    cdf = mech.cdf(qs[:, None], xs[None, :])
-    pair_a, pair_b = np.nonzero(
-        np.abs(qs[:, None] - qs[None, :]) <= d.sensitivity + _pair_tolerance(d)
-    )
-    return qs, xs, cdf, pair_a, pair_b
+    xs = mech.quantile(qs[:, None], np.arange(set_grid) / (set_grid - 1))
+    cdf = mech.cdf(qs[:, None], xs)
+    sides = []
+    for partner in (np.minimum(qs + d.sensitivity, d.upper),
+                    np.maximum(qs - d.sensitivity, d.lower)):
+        rows = np.flatnonzero(partner != qs)
+        if rows.size == 0:
+            continue
+        if rows[-1] - rows[0] + 1 == rows.size:  # the usual run: views, not copies
+            rows = slice(rows[0], rows[-1] + 1)
+        sides.append((qs[rows], partner[rows], xs[rows], cdf[rows],
+                      mech.cdf(partner[rows, None], xs[rows])))
+    return sides
 
 
 def check_privacy_inequality(mech, q_grid: int = SCAN_GRID,
                              set_grid: int = SCAN_GRID) -> CheckResult:
-    """Brute-force the DP inequality over grids of query pairs and intervals.
+    """Scan the DP inequality over query pairs one sensitivity apart and intervals.
 
-    Queries form a ``q_grid`` grid, output sets the intervals of a ``set_grid``
-    grid.  For every grid pair (q, q') within one sensitivity of each other and
-    every grid interval A, asserts
+    Queries form a ``q_grid`` grid, and each is paired with the queries one
+    sensitivity above and below it, clipped to the domain.  Output sets are
+    the intervals of each query's own ``set_grid``-point equal-mass grid
+    (see ``_scan_grid``).  For every pair (q, q') and interval A it asserts
     ``P(W_q in A) - e^eps * P(W_q' in A) <= delta + PRIVACY_SLACK`` using
-    closed-form CDF differences for the interval probabilities.  The worst margin and
-    the point achieving it are recorded either way.
+    closed-form CDF differences for the interval probabilities.  The worst
+    margin and the point achieving it are recorded either way; ties go to
+    the q + sensitivity side, then to the first pair and interval.
+
+    The farthest partner suffices: for q < q' the worst set is a lower
+    interval, and on it ``P_q(A) - e^eps P_q'(A)`` does not decrease as q'
+    rises.  When rounding leaves no pair with q' != q, no two grid queries
+    can be told apart and the check passes with a margin of -inf and no
+    witness pair.
 
     For eps above log(DBL_MAX) it refuses before any CDF is evaluated, and
     fails with a NaN margin and the refusal in its witness: e^eps is then not
@@ -151,16 +183,16 @@ def check_privacy_inequality(mech, q_grid: int = SCAN_GRID,
                    f"{budget.epsilon} exceeds log(DBL_MAX) = {eps_limit}")
         return CheckResult("privacy_inequality", False, math.nan,
                            {"refused": refusal, "scale": float(mech.scale)})
-    qs, xs, cdf, pair_a, pair_b = _scan_grid(mech, q_grid, set_grid)
-    raw, pair_idx, i, j = worst_interval_margin(
-        cdf, pair_a, pair_b, math.exp(budget.epsilon))
+    amp = math.exp(budget.epsilon)
+    raw, q, q_prime, intervals = -math.inf, None, None, []
+    for qs, partners, xs, rows_q, rows_q_prime in _scan_grid(mech, q_grid, set_grid):
+        v, p, i, j = worst_interval_margin(rows_q, rows_q_prime, amp)
+        if q is None or v > raw:
+            raw, q, q_prime = v, float(qs[p]), float(partners[p])
+            intervals = [[float(xs[p, i]), float(xs[p, j])]]
     margin = raw - budget.delta
-    witness = {
-        "q": float(qs[pair_a[pair_idx]]),
-        "q_prime": float(qs[pair_b[pair_idx]]),
-        "intervals": [[float(xs[i]), float(xs[j])]],
-        "scale": float(mech.scale),
-    }
+    witness = {"q": q, "q_prime": q_prime, "intervals": intervals,
+               "scale": float(mech.scale)}
     return CheckResult("privacy_inequality", bool(margin <= PRIVACY_SLACK),
                        float(margin), witness)
 
@@ -236,15 +268,18 @@ def check_fixed_point_properties(domain, budget) -> CheckResult:
     Asserts that the update map at the baseline scale does not fall below it
     (with equality exactly when the sensitivity spans the domain), that the
     map and the normalizer ratio are nonincreasing in the scale along a
-    log-spaced grid of scales, and that the ratio at the baseline scale
-    stays below e^eps / (1 - delta) so the update is well defined.
+    log-spaced grid of scales from just above b0 to 100 b0, and that the
+    ratio at the baseline scale stays below e^eps / (1 - delta) so the update
+    is well defined.
     """
     b0 = baseline_scale(domain, budget)
     f_b0 = fixed_point_operator(domain, budget, b0)
     rel_gap = (f_b0 - b0) / b0
     spans = domain.sensitivity >= domain.width * (1.0 - 1e-12)
 
-    bs = np.geomspace(b0, 100.0 * b0, FIXED_POINT_GRID)
+    # the grid starts 2 steps above b0, so no difference reaches below b0,
+    # where the update can be undefined
+    bs = np.geomspace(b0 * (1.0 + 2.0 * FD_STEP), 100.0 * b0, FIXED_POINT_GRID)
     f_slopes = np.empty(bs.size)
     ratio_slopes = np.empty(bs.size)
     for k, b in enumerate(bs):

@@ -192,41 +192,59 @@ def reference_empirical_counts(mech, q, q_prime, rng, samples, edges):
     return count_q, count_p
 
 
-def two_interval_margin(cdf, pair_a, pair_b, amp):
+def all_pairs_uniform_scan(mech, q_grid, set_grid):
+    """Oracle for ``check_privacy_inequality``: the grid scan as it stood
+    before pairs one sensitivity apart and per-query set grids.
+
+    Every pair of a ``q_grid`` linspace of queries at most one sensitivity
+    apart (plus 8 ulps of the largest domain edge, (q, q) included), and
+    every interval of one ``set_grid`` linspace of the domain.  Returns the
+    worst ``P_q(A) - e^eps P_q'(A) - delta``.
+    """
+    d = mech.domain
+    qs = np.linspace(d.lower, d.upper, q_grid)
+    xs = np.linspace(d.lower, d.upper, set_grid)
+    cdf = mech.cdf(qs[:, None], xs[None, :])
+    tol = 8.0 * np.spacing(max(abs(d.lower), abs(d.upper), d.width))
+    pair_a, pair_b = np.nonzero(np.abs(qs[:, None] - qs[None, :]) <= d.sensitivity + tol)
+    amp = math.exp(mech.budget.epsilon)
+    best = -np.inf
+    chunk = max(1, 2_000_000 // set_grid)
+    for s in range(0, pair_a.size, chunk):
+        diff = cdf[pair_a[s:s + chunk]] - amp * cdf[pair_b[s:s + chunk]]
+        gain = diff[:, 1:] - np.minimum.accumulate(diff[:, :-1], axis=1)
+        best = max(best, float(gain.max()))
+    return best - mech.budget.delta
+
+
+def two_interval_margin(rows_q, rows_q_prime, amp):
     """Oracle: the best ``P_q(A) - amp * P_q'(A)`` over unions ``A`` of two
     disjoint grid intervals, and the first pair attaining it.
 
-    Running extrema per pair: the best interval ending by column k plus the
-    best one starting at k or later.  Tests compare it with the
+    Row p of each table holds the CDF of the p-th pair's query at its grid
+    points.  Running extrema per pair: the best interval ending by column k
+    plus the best one starting at k or later.  Tests compare it with the
     single-interval scan to show that single intervals suffice.
     """
-    m = cdf.shape[1]
+    m = rows_q.shape[1]
     if m < 3:
         return -np.inf, -1
-    best = -np.inf
-    bp = -1
-    chunk = max(1, 2_000_000 // m)
-    for s in range(0, pair_a.size, chunk):
-        d = cdf[pair_a[s:s + chunk]] - amp * cdf[pair_b[s:s + chunk]]
-        run_min = np.minimum.accumulate(d[:, :-1], axis=1)
-        left = np.maximum.accumulate(d[:, 1:] - run_min, axis=1)
-        run_max = np.maximum.accumulate(d[:, :0:-1], axis=1)[:, ::-1]
-        right = np.maximum.accumulate((run_max - d[:, :-1])[:, ::-1], axis=1)[:, ::-1]
-        total = left[:, : m - 2] + right[:, 1: m - 1]
-        k = int(np.argmax(total))
-        v = float(total.flat[k])
-        if v > best:
-            best, bp = v, s + k // (m - 2)
-    return best, bp
+    d = rows_q - amp * rows_q_prime
+    run_min = np.minimum.accumulate(d[:, :-1], axis=1)
+    left = np.maximum.accumulate(d[:, 1:] - run_min, axis=1)
+    run_max = np.maximum.accumulate(d[:, :0:-1], axis=1)[:, ::-1]
+    right = np.maximum.accumulate((run_max - d[:, :-1])[:, ::-1], axis=1)[:, ::-1]
+    total = left[:, : m - 2] + right[:, 1: m - 1]
+    k = int(np.argmax(total))
+    return float(total.flat[k]), k // (m - 2)
 
 
-def brute_force_two(cdf, pair_a, pair_b, amp):
+def brute_force_two(rows_q, rows_q_prime, amp):
     """Best margin over single intervals and unions of two disjoint grid
     intervals, every union enumerated."""
     best = -np.inf
-    m = cdf.shape[1]
-    for p in range(len(pair_a)):
-        fa, fb = cdf[pair_a[p]], cdf[pair_b[p]]
+    m = rows_q.shape[1]
+    for fa, fb in zip(rows_q, rows_q_prime):
         for i1 in range(m - 1):
             for j1 in range(i1 + 1, m):
                 v1 = (fa[j1] - fa[i1]) - amp * (fb[j1] - fb[i1])

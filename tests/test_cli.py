@@ -244,6 +244,23 @@ def test_verify_fails_sufficient_condition_at_small_epsilon(capsys):
     assert "sufficient_condition: FAIL" in out
 
 
+@pytest.mark.parametrize("scale, code", [([], 0), (["--b", "1"], 1)], ids=["b_star", "b0"])
+def test_verify_reports_at_small_epsilon_and_sensitivity(scale, code, capsys):
+    # just below b0 = 1 the fixed-point update is undefined here, so the
+    # fixed-point check's differences must stay above b0
+    got, out, err = run_cli(
+        ["verify", "--epsilon", "1e-7", "--lower", "0", "--upper", "1",
+         "--sensitivity", "1e-7", "--samples", "0", "--format", "json", *scale], capsys)
+    assert (got, err) == (code, "")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["fixed_point_properties"]["passed"]
+    grid = checks["privacy_inequality"]
+    if code == 0:
+        assert all(c["passed"] for c in checks.values())
+    else:  # b0 is not private: the grid check finds a violating set
+        assert not grid["passed"] and grid["worst_margin"] > 0.0
+
+
 @pytest.mark.parametrize("override", [[], ["--b", "0.9"]])
 def test_verify_json_scale_is_the_reports(override, capsys):
     code, out, _ = run_cli(["verify", *BASE, "--sensitivity", "0.5", *override,
@@ -338,9 +355,9 @@ PINNED = ["--epsilon", "1", "--lower", "0", "--upper", "1", "--sensitivity", "0.
 # updates them and says so in CHANGES.md.
 @pytest.mark.parametrize("argv, code, digest", [
     (["verify", *PINNED, "--seed", "7", "--format", "json"], 0,
-     "64194d4d86f943db6fe0552592b567b19c507e3d2fc14e86adb55e7b47608d03"),
+     "1a64340352422e6486354baeb885c222dc653041b81691ecc7cee58aec0d9bdb"),
     (["verify", *PINNED, "--b", "0.5", "--seed", "7", "--format", "json"], 1,
-     "19be2cca768e5b9c8cea4b3e95e20643dbe6f4e994c2af131e159191c62ab7f4"),
+     "550a7b1d1b5d3f083ee66d2106156dd7e60e197bf5f2889e6f1ae25d9b0cf15a"),
     (["sample", *PINNED, "--q", "0.3", "--n", "100000", "--seed", "42",
       "--sampler", "inverse"], 0,
      "6cae4c880ec85368a42d153c91cd1aed582481424e49e076f4d8f4831438957b"),

@@ -25,6 +25,7 @@ from bounded_laplace import mechanism, verification
 from bounded_laplace._kernels import worst_interval_margin
 from bounded_laplace.verification import _sampled_counts, _scan_grid
 from helpers import (
+    all_pairs_uniform_scan,
     laplace_mass_quadrature,
     random_problem,
     reference_empirical_counts,
@@ -80,15 +81,14 @@ def test_privacy_witness_lands_near_worst_pair():
     domain = OutputDomain(0.0, 1.0, 0.5)
     mech = calibrated(domain)
     res = check_privacy_inequality(mech, **FAST)
-    qs, xs, _, _, _ = _scan_grid(mech, **FAST)
+    q, q_prime = res.witness["q"], res.witness["q_prime"]
     last = FAST["q_grid"] - 1
-    i = int(np.flatnonzero(qs == res.witness["q"])[0])
-    j = int(np.flatnonzero(qs == res.witness["q_prime"])[0])
-    step = domain.sensitivity / domain.width * last  # sensitivity in grid steps
-    near_low = i <= 1 and abs(j - step) <= 1
-    near_high = i >= last - 1 and abs(j - (last - step)) <= 1
-    assert near_low or near_high
-    # the worst set hugs a domain edge
+    i = round((q - domain.lower) / domain.width * last)
+    assert i <= 1 or i >= last - 1
+    assert abs(q_prime - q) == pytest.approx(domain.sensitivity, rel=1e-12)
+    # the pair is one the scan made, and its worst set hugs a domain edge
+    (xs,) = [xs[k] for qs, partners, xs, _, _ in _scan_grid(mech, **FAST)
+             for k in np.flatnonzero((qs == q) & (partners == q_prime))]
     (a, b), = res.witness["intervals"]
     ia = int(np.flatnonzero(xs == a)[0])
     ib = int(np.flatnonzero(xs == b)[0])
@@ -118,10 +118,10 @@ def test_single_intervals_suffice_for_privacy_scan(domain, budget):
     # disjoint intervals beats the best single one on the verifier's own grid
     for scale in (baseline_scale(domain, budget), calibrate(domain, budget).b_star):
         mech = CalibratedMechanism(domain, budget, scale)
-        _, _, cdf, pa, pb = _scan_grid(mech, q_grid=60, set_grid=60)
         amp = math.exp(budget.epsilon)
-        single = worst_interval_margin(cdf, pa, pb, amp)[0]
-        assert two_interval_margin(cdf, pa, pb, amp)[0] <= single + 1e-14
+        for _, _, _, rows_q, rows_q_prime in _scan_grid(mech, q_grid=60, set_grid=60):
+            single = worst_interval_margin(rows_q, rows_q_prime, amp)[0]
+            assert two_interval_margin(rows_q, rows_q_prime, amp)[0] <= single + 1e-14
 
 
 def test_privacy_check_stable_under_grid_refinement():
@@ -149,6 +149,77 @@ def test_privacy_check_rejects_epsilon_beyond_exp_range(monkeypatch):
         "refused": "the grid privacy check needs a finite e^epsilon: epsilon 710.0 "
                    f"exceeds log(DBL_MAX) = {math.log(sys.float_info.max)}",
         "scale": mech.scale}
+
+
+def _oracle_family():
+    """(domain, budget) of the scan's oracle comparison: three domains, the
+    sensitivity from 1e-4 of the width to all of it, eps from 0.01 to 50,
+    delta 0 and 1e-3, and seeded random problems."""
+    for lower, upper in ((0.0, 1.0), (0.0, 1000.0), (-4.0, -1.0)):
+        for frac in (1e-4, 1e-3, 1e-2, 0.1, 0.3, 0.5, 0.9, 1.0):
+            sensitivity = upper - lower if frac == 1.0 else frac * (upper - lower)
+            for eps in (0.01, 0.1, 1.0, 5.0, 50.0):
+                for delta in (0.0, 1e-3):
+                    yield OutputDomain(lower, upper, sensitivity), PrivacyBudget(eps, delta)
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        yield random_problem(rng)
+
+
+def test_privacy_scan_fails_wherever_the_all_pairs_oracle_fails():
+    # The all-pairs scan on one uniform grid is sound but blind where the
+    # sensitivity or the scale is small against the width; the scan on
+    # pairs one sensitivity apart, each with its own equal-mass set grid,
+    # must catch everything it catches, and never fail a private scale.
+    grids = {"q_grid": 40, "set_grid": 40}
+    oracle_fails = scan_fails = 0
+    for domain, budget in _oracle_family():
+        report = calibrate(domain, budget)
+        for scale in (report.b0, report.b_star):
+            mech = CalibratedMechanism(domain, budget, scale)
+            res = check_privacy_inequality(mech, **grids)
+            oracle_fail = all_pairs_uniform_scan(mech, **grids) > verification.PRIVACY_SLACK
+            assert not oracle_fail or not res.passed, (domain, budget, scale)
+            if achieved_epsilon(domain, scale, budget.delta) <= budget.epsilon:
+                assert res.passed, (domain, budget, scale, res)
+            oracle_fails += oracle_fail
+            scan_fails += not res.passed
+    assert scan_fails > 2 * oracle_fails > 0
+
+
+@pytest.mark.parametrize("upper", [1.0, 1000.0])
+@pytest.mark.parametrize("frac", [1e-4, 1e-3, 1e-2])
+def test_privacy_scan_fails_baseline_at_small_sensitivity(frac, upper):
+    # the sensitivity is at most two spacings of the default query grid and
+    # b0 is far below the width: the all-pairs uniform scan passed b0 here
+    domain = OutputDomain(0.0, upper, frac * upper)
+    for eps in (0.01, 0.1, 1.0, 5.0, 50.0):
+        for delta in (0.0, 1e-3):
+            budget = PrivacyBudget(eps, delta)
+            b0 = baseline_scale(domain, budget)
+            res = check_privacy_inequality(CalibratedMechanism(domain, budget, b0))
+            assert not res.passed and res.worst_margin > 0.0, (eps, delta, res)
+
+
+def test_privacy_scan_drops_pairs_that_round_to_one_query():
+    # q + sensitivity is a rounding tie at half an ulp of 1: it rounds to q
+    # at grid points with an even last bit and away from q at the odd ones,
+    # so the rows with a distinct partner are not one run
+    u = 2.0**-52
+    mech = CalibratedMechanism(OutputDomain(1.0, 1.0 + 7 * u, u / 2), BUDGET, u / 2)
+    (up_q, up_p, *_), (down_q, down_p, *_) = _scan_grid(mech, q_grid=8, set_grid=5)
+    assert ((up_q - 1.0) / u).tolist() == [1.0, 3.0, 5.0]
+    assert ((down_q - 1.0) / u).tolist() == [1.0, 3.0, 5.0, 7.0]
+    assert (up_p != up_q).all() and (down_p != down_q).all()
+
+
+def test_privacy_scan_with_no_distinct_pair_reports():
+    # one sensitivity moves no grid query by a representable amount
+    domain = OutputDomain(1e6, 1e6 + 1e-6, 1e-15)
+    res = check_privacy_inequality(calibrated(domain), **FAST)
+    assert res.passed and res.worst_margin == -math.inf
+    assert res.witness == {"q": None, "q_prime": None, "intervals": [],
+                           "scale": calibrate(domain, BUDGET).b_star}
 
 
 def test_interval_probabilities_match_quadrature():
@@ -383,6 +454,16 @@ def test_fixed_point_properties_random_draws():
         domain, budget = random_problem(rng)
         res = check_fixed_point_properties(domain, budget)
         assert res.passed, res
+
+
+def test_fixed_point_properties_at_small_epsilon_and_sensitivity():
+    # the update's exponent budget turns negative just below b0 = 1 here,
+    # so a difference reaching below b0 would raise
+    domain = OutputDomain(0.0, 1.0, 1e-7)
+    res = check_fixed_point_properties(domain, PrivacyBudget(1e-7))
+    assert res.passed
+    assert res.witness["relative_gap"] > 0.0
+    assert res.witness["worst_f_slope"] < 0.0 and res.witness["worst_ratio_slope"] < 0.0
 
 
 def test_ratio_at_baseline_below_feasibility_bound():
