@@ -1,15 +1,18 @@
 """Command-line front end: calibrate, sample, verify, sweep.
 
 Exit codes: 0 on success, 1 on a failing verification or a sweep with NA
-cells, 2 on usage errors and invalid or infeasible inputs.  Output is a pure
-function of the flags plus the seed; when no seed is given one is drawn from
-system entropy and echoed on stderr so the run can be reproduced.
+cells, 2 on usage errors and invalid or infeasible inputs, 141 when the
+reader closes stdout early, the code a shell gives a process killed by
+SIGPIPE.  Output is a pure function of the flags plus the seed; when no
+seed is given one is drawn from system entropy and echoed on stderr so the
+run can be reproduced.
 """
 
 import argparse
 import csv
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -200,10 +203,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone: send stdout to devnull so the exit flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

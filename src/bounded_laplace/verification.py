@@ -1,7 +1,7 @@
 """Numerical certification of the privacy guarantee and its supporting claims.
 
 The headline check scans the differential-privacy inequality over query
-pairs exactly one sensitivity apart and a family of output intervals; the
+pairs exactly one sensitivity apart and one-sided output sets; the
 remaining checks validate the scalar sufficient condition through
 ``achieved_epsilon``, the monotonicity facts behind the worst-case pair
 location (on offsets from the lower edge, so every translate of a domain
@@ -11,18 +11,18 @@ sample the worst-case pair.  Every check returns a ``CheckResult``; a
 failing check is a report outcome, never an exception.
 
 Scope caveat: the privacy guarantee quantifies over all measurable output
-sets and all query pairs, while the grid check searches single intervals
-at finite resolution.  Single intervals lose nothing: the likelihood ratio
-of two queries is monotone in the output, so the worst set is an interval.
-Each grid query q is paired with ``min(q + sensitivity, upper)`` and
-``max(q - sensitivity, lower)``: for q < q' the worst set is a lower
-interval, on which the violation grows with q', so the farthest admissible
-partner is the worst.  Each q has its own set grid, the quantiles of q's law
-at equal steps of probability, so the grid follows the law however small the
-sensitivity or the scale is against the width.  The grid check is a sound
-falsifier: any witness it reports is a real violation, up to the rounding
-of the closed-form masses; a pass is evidence at the grid's resolution, not
-a proof.
+sets and all query pairs, while the grid check searches one-sided sets at
+finite resolution.  They lose nothing: the likelihood ratio of two queries
+is monotone in the output, so the worst set is a lower interval for q < q'
+and an upper one for q > q'.  Each grid query q is paired with
+``min(q + sensitivity, upper)`` and ``max(q - sensitivity, lower)``, moved
+one ulp toward q if rounding puts it out of reach: on a lower set the
+violation grows with q', so the farthest admissible partner is the worst.  Each q has its own set grid, the
+quantiles of q's law at equal steps of probability, so the grid follows the
+law however small the sensitivity or the scale is against the width.  The
+grid check is a sound falsifier: any witness it reports is a real violation,
+up to the rounding of the closed-form masses; a pass is evidence at the
+grid's resolution, not a proof.
 
 Grid sizes and the sample count are plain ints defaulting to ``SCAN_GRID``
 and ``EMPIRICAL_SAMPLES``, as the CLI's flags do; all else is a constant.
@@ -128,10 +128,10 @@ def _scan_grid(mech, q_grid, set_grid):
     equal-mass under ``qs[r]`` with the domain edges at both ends, and the
     table ``F_{qs[r]}(xs[r])`` is built once.  Each query is paired with
     ``min(q + sensitivity, upper)`` and with ``max(q - sensitivity, lower)``,
-    a pair with q' == q dropped.  Returns ``(q, q_prime, xs, rows_q,
-    rows_q_prime)`` per side that has a pair, the q + sensitivity side
-    first: one entry per pair, ``rows_q_prime = F_{q'}`` at the pair's grid
-    points.
+    each moved one ulp toward q where it rounds to more than one sensitivity
+    away; a pair with q' == q is dropped.  Returns ``(q, q_prime, xs, rows_q, rows_q_prime)`` per side
+    that has a pair, the q + sensitivity side first: one entry per pair,
+    ``rows_q_prime = F_{q'}`` at the pair's grid points.
     """
     if q_grid < 2 or set_grid < 2:
         raise ValueError("grid sizes must be at least 2")
@@ -142,6 +142,8 @@ def _scan_grid(mech, q_grid, set_grid):
     sides = []
     for partner in (np.minimum(qs + d.sensitivity, d.upper),
                     np.maximum(qs - d.sensitivity, d.lower)):
+        far = np.abs(partner - qs) > d.sensitivity
+        partner[far] = np.nextafter(partner[far], qs[far])
         rows = np.flatnonzero(partner != qs)
         if rows.size == 0:
             continue
@@ -154,16 +156,18 @@ def _scan_grid(mech, q_grid, set_grid):
 
 def check_privacy_inequality(mech, q_grid: int = SCAN_GRID,
                              set_grid: int = SCAN_GRID) -> CheckResult:
-    """Scan the DP inequality over query pairs one sensitivity apart and intervals.
+    """Scan the DP inequality over pairs one sensitivity apart and one-sided sets.
 
     Queries form a ``q_grid`` grid, and each is paired with the queries one
     sensitivity above and below it, clipped to the domain.  Output sets are
-    the intervals of each query's own ``set_grid``-point equal-mass grid
-    (see ``_scan_grid``).  For every pair (q, q') and interval A it asserts
+    the lower sets (q < q') or upper sets (q > q') of each query's own
+    ``set_grid``-point equal-mass grid (see ``_scan_grid``).  For every pair
+    (q, q') and such set A it asserts
     ``P(W_q in A) - e^eps * P(W_q' in A) <= delta + PRIVACY_SLACK`` using
-    closed-form CDF differences for the interval probabilities.  The worst
+    closed-form CDF differences for the set probabilities.  The worst
     margin and the point achieving it are recorded either way; ties go to
-    the q + sensitivity side, then to the first pair and interval.
+    the q + sensitivity side, then to the first pair, then to the first
+    free end of the set.
 
     The farthest partner suffices: for q < q' the worst set is a lower
     interval, and on it ``P_q(A) - e^eps P_q'(A)`` does not decrease as q'
@@ -186,7 +190,8 @@ def check_privacy_inequality(mech, q_grid: int = SCAN_GRID,
     amp = math.exp(budget.epsilon)
     raw, q, q_prime, intervals = -math.inf, None, None, []
     for qs, partners, xs, rows_q, rows_q_prime in _scan_grid(mech, q_grid, set_grid):
-        v, p, i, j = worst_interval_margin(rows_q, rows_q_prime, amp)
+        # the side of the pairs, not their place in the list, picks the sets
+        v, p, i, j = worst_interval_margin(rows_q, rows_q_prime, amp, partners[0] > qs[0])
         if q is None or v > raw:
             raw, q, q_prime = v, float(qs[p]), float(partners[p])
             intervals = [[float(xs[p, i]), float(xs[p, j])]]

@@ -224,7 +224,7 @@ def two_interval_margin(rows_q, rows_q_prime, amp):
     Row p of each table holds the CDF of the p-th pair's query at its grid
     points.  Running extrema per pair: the best interval ending by column k
     plus the best one starting at k or later.  Tests compare it with the
-    single-interval scan to show that single intervals suffice.
+    one-sided scan to show that one-sided sets suffice.
     """
     m = rows_q.shape[1]
     if m < 3:
@@ -237,6 +237,16 @@ def two_interval_margin(rows_q, rows_q_prime, amp):
     total = left[:, : m - 2] + right[:, 1: m - 1]
     k = int(np.argmax(total))
     return float(total.flat[k]), k // (m - 2)
+
+
+def all_intervals_margin(rows_q, rows_q_prime, amp):
+    """Oracle: the best ``P_q(A) - amp * P_q'(A)`` over every grid interval
+    ``A = [x_i, x_j]``, ``i < j``, of every pair, in the scan's float grouping:
+    the max of ``d[j] - d[i]`` with ``d = F_q - amp * F_q'``, each start
+    ``i`` taken in turn.
+    """
+    d = rows_q - amp * rows_q_prime
+    return max(float((d[:, i + 1:] - d[:, i:i + 1]).max()) for i in range(d.shape[1] - 1))
 
 
 def brute_force_two(rows_q, rows_q_prime, amp):

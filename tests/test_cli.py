@@ -2,6 +2,8 @@ import csv
 import hashlib
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -368,6 +370,19 @@ def test_seeded_stdout_is_pinned(argv, code, digest, capsys):
     got_code, out, _ = run_cli(argv, capsys)
     assert got_code == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_closed_stdout_exits_like_sigpipe():
+    # the reader takes one line and leaves; the writer is then blocked on a
+    # full pipe, so its next write fails
+    argv = ["sample", *PINNED, "--q", "0.3", "--n", "100000", "--seed", "1"]
+    with subprocess.Popen([sys.executable, "-m", "bounded_laplace", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().strip()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 141
+    assert "Traceback" not in err, err
 
 
 # ---------------------------------------------------------------------- sweep

@@ -25,6 +25,7 @@ from bounded_laplace import mechanism, verification
 from bounded_laplace._kernels import worst_interval_margin
 from bounded_laplace.verification import _sampled_counts, _scan_grid
 from helpers import (
+    all_intervals_margin,
     all_pairs_uniform_scan,
     laplace_mass_quadrature,
     random_problem,
@@ -114,14 +115,16 @@ def test_privacy_check_on_shifted_domain_with_delta():
      PrivacyBudget(0.6751111394352484, 0.0)),
 ], ids=["0.1", "0.5", "0.9", "shifted_with_delta", "far_from_zero"])
 def test_single_intervals_suffice_for_privacy_scan(domain, budget):
-    # the likelihood ratio is monotone in the output, so no union of two
-    # disjoint intervals beats the best single one on the verifier's own grid
+    # the likelihood ratio is monotone in the output, so neither a union of
+    # two disjoint intervals nor any single interval beats the best one-sided
+    # set, lower for q < q' and upper for q > q', on the verifier's own grid
     for scale in (baseline_scale(domain, budget), calibrate(domain, budget).b_star):
         mech = CalibratedMechanism(domain, budget, scale)
         amp = math.exp(budget.epsilon)
-        for _, _, _, rows_q, rows_q_prime in _scan_grid(mech, q_grid=60, set_grid=60):
-            single = worst_interval_margin(rows_q, rows_q_prime, amp)[0]
-            assert two_interval_margin(rows_q, rows_q_prime, amp)[0] <= single + 1e-14
+        for qs, partners, _, rows_q, rows_q_prime in _scan_grid(mech, q_grid=60, set_grid=60):
+            one_sided = worst_interval_margin(rows_q, rows_q_prime, amp, partners[0] > qs[0])[0]
+            assert two_interval_margin(rows_q, rows_q_prime, amp)[0] <= one_sided + 1e-14
+            assert all_intervals_margin(rows_q, rows_q_prime, amp) <= one_sided + 1e-14
 
 
 def test_privacy_check_stable_under_grid_refinement():
@@ -187,6 +190,30 @@ def test_privacy_scan_fails_wherever_the_all_pairs_oracle_fails():
     assert scan_fails > 2 * oracle_fails > 0
 
 
+def test_privacy_scan_matches_the_all_intervals_oracle():
+    # the oracle searches every interval of the scan's own tables: the scan's
+    # one-sided sets reach its verdict, never exceed its margin, and attain it
+    # bit for bit wherever it fails
+    grids = {"q_grid": 40, "set_grid": 40}
+    fails = 0
+    for domain, budget in _oracle_family():
+        report = calibrate(domain, budget)
+        amp = math.exp(budget.epsilon)
+        for scale in (report.b0, report.b_star):
+            mech = CalibratedMechanism(domain, budget, scale)
+            res = check_privacy_inequality(mech, **grids)
+            oracle = max((all_intervals_margin(f, g, amp)
+                          for *_, f, g in _scan_grid(mech, **grids)),
+                         default=-math.inf) - budget.delta
+            oracle_fails = oracle > verification.PRIVACY_SLACK
+            assert res.passed != oracle_fails, (domain, budget, scale, res, oracle)
+            assert res.worst_margin <= oracle, (domain, budget, scale, res, oracle)
+            if oracle_fails:
+                assert res.worst_margin == oracle, (domain, budget, scale, res, oracle)
+            fails += oracle_fails
+    assert fails > 0
+
+
 @pytest.mark.parametrize("upper", [1.0, 1000.0])
 @pytest.mark.parametrize("frac", [1e-4, 1e-3, 1e-2])
 def test_privacy_scan_fails_baseline_at_small_sensitivity(frac, upper):
@@ -201,16 +228,27 @@ def test_privacy_scan_fails_baseline_at_small_sensitivity(frac, upper):
             assert not res.passed and res.worst_margin > 0.0, (eps, delta, res)
 
 
-def test_privacy_scan_drops_pairs_that_round_to_one_query():
-    # q + sensitivity is a rounding tie at half an ulp of 1: it rounds to q
-    # at grid points with an even last bit and away from q at the odd ones,
-    # so the rows with a distinct partner are not one run
+def test_privacy_scan_pairs_are_admissible():
+    # q + sensitivity can round to more than one sensitivity from q; each
+    # partner must then step back to the farthest double within reach
     u = 2.0**-52
-    mech = CalibratedMechanism(OutputDomain(1.0, 1.0 + 7 * u, u / 2), BUDGET, u / 2)
-    (up_q, up_p, *_), (down_q, down_p, *_) = _scan_grid(mech, q_grid=8, set_grid=5)
-    assert ((up_q - 1.0) / u).tolist() == [1.0, 3.0, 5.0]
-    assert ((down_q - 1.0) / u).tolist() == [1.0, 3.0, 5.0, 7.0]
-    assert (up_p != up_q).all() and (down_p != down_q).all()
+    tiny = OutputDomain(1.0, 1.0 + 7 * u, u / 2)
+    mechs = [CalibratedMechanism(tiny, BUDGET, u / 2), calibrated(FAR_DOMAIN, FAR_BUDGET)]
+    mechs += [calibrated(domain, budget) for domain, budget in _oracle_family()]
+    for mech in mechs:
+        for qs, partners, *_ in _scan_grid(mech, q_grid=200, set_grid=2):
+            assert (np.abs(partners - qs) <= mech.domain.sensitivity).all(), mech.domain
+    # half an ulp of 1: every sum rounds to q or an ulp away, two sensitivities,
+    # so no two grid queries form a pair
+    res = check_privacy_inequality(mechs[0], q_grid=8, set_grid=5)
+    assert res.passed and res.worst_margin == -math.inf
+    assert res.witness["q"] is None and res.witness["intervals"] == []
+    # one and a half ulps: the sum rounds to one or two ulps away, and every
+    # partner ends one ulp from q
+    wide = CalibratedMechanism(OutputDomain(1.0, 1.0 + 7 * u, 1.5 * u), BUDGET, u)
+    sides = _scan_grid(wide, q_grid=8, set_grid=5)
+    assert [len(q) for q, *_ in sides] == [7, 7]
+    assert all((np.abs(p - q) == u).all() for q, p, *_ in sides)
 
 
 def test_privacy_scan_with_no_distinct_pair_reports():
