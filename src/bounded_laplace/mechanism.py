@@ -123,8 +123,17 @@ class OutputDomain:
         return qa
 
     def worst_case_pair(self) -> tuple:
-        """The query pair (lower, lower + sensitivity) with the largest privacy loss."""
-        return self.lower, min(self.lower + self.sensitivity, self.upper)
+        """The query pair (lower, lower + sensitivity) with the largest privacy
+        loss, the second query placed by :func:`_partner`."""
+        return self.lower, float(_partner(self, self.lower))
+
+
+def _partner(domain, q):
+    """The farthest query at most one sensitivity above q (scalar or array):
+    ``min(q + sensitivity, upper)``, stepped one ulp toward q where it
+    rounds to more than one sensitivity away."""
+    p = np.minimum(q + domain.sensitivity, domain.upper)
+    return np.where(p - q > domain.sensitivity, np.nextafter(p, q), p)
 
 
 def _normalizer(domain, q, b):

@@ -1,7 +1,7 @@
 """Numerical certification of the privacy guarantee and its supporting claims.
 
 The headline check scans the differential-privacy inequality over query
-pairs exactly one sensitivity apart and one-sided output sets; the
+pairs q < q' exactly one sensitivity apart and lower output sets; the
 remaining checks validate the scalar sufficient condition through
 ``achieved_epsilon``, the monotonicity facts behind the worst-case pair
 location (on offsets from the lower edge, so every translate of a domain
@@ -11,18 +11,21 @@ sample the worst-case pair.  Every check returns a ``CheckResult``; a
 failing check is a report outcome, never an exception.
 
 Scope caveat: the privacy guarantee quantifies over all measurable output
-sets and all query pairs, while the grid check searches one-sided sets at
-finite resolution.  They lose nothing: the likelihood ratio of two queries
-is monotone in the output, so the worst set is a lower interval for q < q'
-and an upper one for q > q'.  Each grid query q is paired with
-``min(q + sensitivity, upper)`` and ``max(q - sensitivity, lower)``, moved
-one ulp toward q if rounding puts it out of reach: on a lower set the
-violation grows with q', so the farthest admissible partner is the worst.  Each q has its own set grid, the
-quantiles of q's law at equal steps of probability, so the grid follows the
-law however small the sensitivity or the scale is against the width.  The
-grid check is a sound falsifier: any witness it reports is a real violation,
-up to the rounding of the closed-form masses; a pass is evidence at the
-grid's resolution, not a proof.
+sets and all query pairs, while the grid check searches lower sets
+``[lower, t]`` for q < q' at finite resolution.  They lose nothing: the
+likelihood ratio of two queries is monotone in the output, so the worst set
+is a lower interval for q < q', and the mirror x -> lower + upper - x maps
+every pair q > q' with its worst set, an upper interval, onto one of these.
+Each grid query q is paired with ``min(q + sensitivity, upper)``, moved one
+ulp toward q if rounding puts it out of reach: on a lower set the violation
+grows with q', so the farthest admissible partner is the worst.  The
+empirical check admits exactly the pairs with ``|q - q'| <= sensitivity``,
+and its worst-case pair is placed by the same rule.  Each q has its own set
+grid, the quantiles of q's law at equal steps of probability, so the grid
+follows the law however small the sensitivity or the scale is against the
+width.  The grid check is a sound falsifier: any witness it reports is a
+real violation, up to the rounding of the closed-form masses; a pass is
+evidence at the grid's resolution, not a proof.
 
 Grid sizes and the sample count are plain ints defaulting to ``SCAN_GRID``
 and ``EMPIRICAL_SAMPLES``, as the CLI's flags do; all else is a constant.
@@ -39,8 +42,8 @@ import numpy as np
 
 from ._kernels import worst_interval_margin
 from .calibration import achieved_epsilon, baseline_scale, calibrate, fixed_point_operator
-from .mechanism import (BLOCK, CalibratedMechanism, _inside_mass, _require_scale,
-                        normalizer_ratio)
+from .mechanism import (BLOCK, CalibratedMechanism, _inside_mass, _partner,
+                        _require_scale, normalizer_ratio)
 
 __all__ = [
     "CheckResult",
@@ -111,69 +114,49 @@ class VerificationReport:
         }
 
 
-def _pair_tolerance(domain):
-    """Rounding allowance on ``|q - q'| <= sensitivity``.
-
-    Grid points and ``lower + sensitivity`` are rounded at the scale of the
-    larger domain edge, which can far exceed the width.
-    """
-    return 8.0 * np.spacing(max(abs(domain.lower), abs(domain.upper), domain.width))
-
-
 def _scan_grid(mech, q_grid, set_grid):
-    """The tables of the privacy scan, one side at a time.
+    """The tables of the privacy scan.
 
-    Queries ``qs`` form a ``q_grid`` linspace of the domain.  Query ``qs[r]``
+    Queries ``qs`` form a ``q_grid`` linspace of the domain, and each is
+    paired with ``mechanism._partner``, the farthest query at most one
+    sensitivity above it; a pair with q' == q is dropped.  Query ``qs[r]``
     has its own set grid ``xs[r, k] = quantile(qs[r], k / (set_grid - 1))``,
-    equal-mass under ``qs[r]`` with the domain edges at both ends, and the
-    table ``F_{qs[r]}(xs[r])`` is built once.  Each query is paired with
-    ``min(q + sensitivity, upper)`` and with ``max(q - sensitivity, lower)``,
-    each moved one ulp toward q where it rounds to more than one sensitivity
-    away; a pair with q' == q is dropped.  Returns ``(q, q_prime, xs, rows_q, rows_q_prime)`` per side
-    that has a pair, the q + sensitivity side first: one entry per pair,
-    ``rows_q_prime = F_{q'}`` at the pair's grid points.
+    equal-mass under ``qs[r]`` with the domain edges at both ends.  Returns
+    ``(q, q_prime, xs, rows_q, rows_q_prime)``, one row per pair, with
+    ``rows_q = F_q`` and ``rows_q_prime = F_{q'}`` at the pair's grid points.
     """
     if q_grid < 2 or set_grid < 2:
         raise ValueError("grid sizes must be at least 2")
     d = mech.domain
     qs = np.linspace(d.lower, d.upper, q_grid)
+    partners = _partner(d, qs)
+    kept = partners != qs
+    qs, partners = qs[kept], partners[kept]
     xs = mech.quantile(qs[:, None], np.arange(set_grid) / (set_grid - 1))
-    cdf = mech.cdf(qs[:, None], xs)
-    sides = []
-    for partner in (np.minimum(qs + d.sensitivity, d.upper),
-                    np.maximum(qs - d.sensitivity, d.lower)):
-        far = np.abs(partner - qs) > d.sensitivity
-        partner[far] = np.nextafter(partner[far], qs[far])
-        rows = np.flatnonzero(partner != qs)
-        if rows.size == 0:
-            continue
-        if rows[-1] - rows[0] + 1 == rows.size:  # the usual run: views, not copies
-            rows = slice(rows[0], rows[-1] + 1)
-        sides.append((qs[rows], partner[rows], xs[rows], cdf[rows],
-                      mech.cdf(partner[rows, None], xs[rows])))
-    return sides
+    return qs, partners, xs, mech.cdf(qs[:, None], xs), mech.cdf(partners[:, None], xs)
 
 
 def check_privacy_inequality(mech, q_grid: int = SCAN_GRID,
                              set_grid: int = SCAN_GRID) -> CheckResult:
-    """Scan the DP inequality over pairs one sensitivity apart and one-sided sets.
+    """Scan the DP inequality over pairs q < q' = q + sensitivity and lower sets.
 
-    Queries form a ``q_grid`` grid, and each is paired with the queries one
-    sensitivity above and below it, clipped to the domain.  Output sets are
-    the lower sets (q < q') or upper sets (q > q') of each query's own
-    ``set_grid``-point equal-mass grid (see ``_scan_grid``).  For every pair
-    (q, q') and such set A it asserts
-    ``P(W_q in A) - e^eps * P(W_q' in A) <= delta + PRIVACY_SLACK`` using
-    closed-form CDF differences for the set probabilities.  The worst
-    margin and the point achieving it are recorded either way; ties go to
-    the q + sensitivity side, then to the first pair, then to the first
-    free end of the set.
+    Queries form a ``q_grid`` grid, and each is paired with the query one
+    sensitivity above it, clipped to the domain.  Output sets are the lower
+    sets ``[lower, t]`` of each query's own ``set_grid``-point equal-mass
+    grid (see ``_scan_grid``).  For every pair (q, q') and such set A it
+    asserts ``P(W_q in A) - e^eps * P(W_q' in A) <= delta + PRIVACY_SLACK``
+    using closed-form CDFs for the set probabilities.  The worst margin and
+    the point achieving it are recorded either way; ties go to the first
+    pair, then to the smallest set.
 
-    The farthest partner suffices: for q < q' the worst set is a lower
-    interval, and on it ``P_q(A) - e^eps P_q'(A)`` does not decrease as q'
-    rises.  When rounding leaves no pair with q' != q, no two grid queries
-    can be told apart and the check passes with a margin of -inf and no
-    witness pair.
+    These pairs and sets suffice (see the module docstring), and they are
+    the accurate side of the mirror: from CDF tables an upper set's margin
+    is ``(1 - e^eps) - (F_q(t) - e^eps F_q'(t))``, a difference of two terms
+    of size e^eps that rounds to a multiple of ulp(e^eps), while a lower
+    set's is ``F_q(t) - e^eps F_q'(t)`` itself, whose terms are
+    probabilities wherever it nears 0.  When rounding leaves no pair with
+    q' != q, no two grid queries can be told apart and the check passes with
+    a margin of -inf and no witness pair.
 
     For eps above log(DBL_MAX) it refuses before any CDF is evaluated, and
     fails with a NaN margin and the refusal in its witness: e^eps is then not
@@ -188,13 +171,12 @@ def check_privacy_inequality(mech, q_grid: int = SCAN_GRID,
         return CheckResult("privacy_inequality", False, math.nan,
                            {"refused": refusal, "scale": float(mech.scale)})
     amp = math.exp(budget.epsilon)
+    qs, partners, xs, rows_q, rows_q_prime = _scan_grid(mech, q_grid, set_grid)
     raw, q, q_prime, intervals = -math.inf, None, None, []
-    for qs, partners, xs, rows_q, rows_q_prime in _scan_grid(mech, q_grid, set_grid):
-        # the side of the pairs, not their place in the list, picks the sets
-        v, p, i, j = worst_interval_margin(rows_q, rows_q_prime, amp, partners[0] > qs[0])
-        if q is None or v > raw:
-            raw, q, q_prime = v, float(qs[p]), float(partners[p])
-            intervals = [[float(xs[p, i]), float(xs[p, j])]]
+    if qs.size:
+        raw, p, j = worst_interval_margin(rows_q, rows_q_prime, amp)
+        q, q_prime = float(qs[p]), float(partners[p])
+        intervals = [[float(xs[p, 0]), float(xs[p, j])]]
     margin = raw - budget.delta
     witness = {"q": q, "q_prime": q_prime, "intervals": intervals,
                "scale": float(mech.scale)}
@@ -278,8 +260,8 @@ def check_fixed_point_properties(domain, budget) -> CheckResult:
     is well defined.
     """
     b0 = baseline_scale(domain, budget)
-    f_b0 = fixed_point_operator(domain, budget, b0)
-    rel_gap = (f_b0 - b0) / b0
+    f_of_b0 = fixed_point_operator(domain, budget, b0)
+    rel_gap = (f_of_b0 - b0) / b0
     spans = domain.sensitivity >= domain.width * (1.0 - 1e-12)
 
     # the grid starts 2 steps above b0, so no difference reaches below b0,
@@ -295,7 +277,7 @@ def check_fixed_point_properties(domain, budget) -> CheckResult:
         ratio_slopes[k] = b * (normalizer_ratio(domain, b + h)
                                - normalizer_ratio(domain, b - h)) / (2.0 * h)
     # Written as -sensitivity/f(b0) so the sign cannot be lost to rounding.
-    headroom = -domain.sensitivity / f_b0
+    headroom = -domain.sensitivity / f_of_b0
 
     init_margin = -rel_gap
     f_margin = float(f_slopes.max())
@@ -310,7 +292,7 @@ def check_fixed_point_properties(domain, budget) -> CheckResult:
         passed = passed and rel_gap > 0.0
     witness = {
         "b0": float(b0),
-        "f_b0": float(f_b0),
+        "f_of_b0": float(f_of_b0),
         "relative_gap": float(rel_gap),
         "worst_f_slope": float(f_slopes.max()),
         "worst_f_slope_scale": float(bs[int(f_slopes.argmax())]),
@@ -361,7 +343,7 @@ def empirical_privacy_estimate(mech, q, q_prime, samples: int = EMPIRICAL_SAMPLE
     d = mech.domain
     q = float(d.require_query(q))
     q_prime = float(d.require_query(q_prime))
-    if abs(q - q_prime) > d.sensitivity + _pair_tolerance(d):
+    if abs(q - q_prime) > d.sensitivity:
         raise ValueError("q and q_prime must be within one sensitivity of each other")
     if samples < 1:
         raise ValueError("samples must be positive")

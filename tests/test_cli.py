@@ -205,6 +205,26 @@ def test_verify_passes_on_narrow_domain_at_large_epsilon(capsys):
     assert sufficient["witness"]["achieved_epsilon"] <= 50.0
 
 
+@pytest.mark.parametrize("problem, pair", [
+    (["--epsilon", "30", "--lower", "0", "--upper", "1", "--sensitivity", "0.5"],
+     [0.0, 0.5]),
+    (["--epsilon", "50", "--lower", "0", "--upper", "0.001", "--sensitivity", "0.0005"],
+     [0.0, 0.0005]),
+], ids=["eps30", "eps50_narrow"])
+def test_verify_large_epsilon_grid_witness_is_the_worst_pair(problem, pair, capsys):
+    # b_star is private.  Upper sets' margins, differences of two terms of
+    # size e^eps, read 2**-9 at eps = 30 and failed it, and at eps = 50 tied
+    # at 0 on a set that names no near-violation; lower sets keep the margin
+    code, out, err = run_cli(["verify", *problem, "--samples", "0", "--format", "json"],
+                             capsys)
+    assert (code, err) == (0, "")
+    grid = json.loads(out)["checks"][0]
+    assert grid["name"] == "privacy_inequality" and grid["passed"]
+    assert [grid["witness"]["q"], grid["witness"]["q_prime"]] == pair
+    assert grid["witness"]["intervals"][0][0] == 0.0
+    assert -1e-4 < grid["worst_margin"] < 0.0
+
+
 @pytest.mark.parametrize("scale", [[], ["--b", "10"]], ids=["b_star", "b10"])
 def test_verify_epsilon_beyond_exp_range_reports_refusal(scale, capsys):
     # e^1000 is not a finite double: the grid check refuses and fails, and
@@ -357,9 +377,9 @@ PINNED = ["--epsilon", "1", "--lower", "0", "--upper", "1", "--sensitivity", "0.
 # updates them and says so in CHANGES.md.
 @pytest.mark.parametrize("argv, code, digest", [
     (["verify", *PINNED, "--seed", "7", "--format", "json"], 0,
-     "1a64340352422e6486354baeb885c222dc653041b81691ecc7cee58aec0d9bdb"),
+     "98230d152ee68cf03d7f61f918d5cc939e4bb8fa876fbda0942faa68f4efa8f4"),
     (["verify", *PINNED, "--b", "0.5", "--seed", "7", "--format", "json"], 1,
-     "550a7b1d1b5d3f083ee66d2106156dd7e60e197bf5f2889e6f1ae25d9b0cf15a"),
+     "81e1fabbe922a35ccdbd122cd138c95bd2013a48728d088ca95b6aa0595c37f0"),
     (["sample", *PINNED, "--q", "0.3", "--n", "100000", "--seed", "42",
       "--sampler", "inverse"], 0,
      "6cae4c880ec85368a42d153c91cd1aed582481424e49e076f4d8f4831438957b"),

@@ -26,36 +26,29 @@ def random_case(rng, n_rows=7, m=12):
     return table[pair_a], table[pair_b], amp
 
 
-def one_sided(m, lower):
-    """The ``(i, j)`` of the one-sided sets of an ``m``-point grid, in
-    ``(i, j)`` order: ``[x_0, x_j]`` when ``lower``, else ``[x_i, x_{m-1}]``."""
-    return [(i, j) for i in range(m - 1) for j in range(i + 1, m)
-            if (i == 0 if lower else j == m - 1)]
-
-
-def brute_force_single(rows_q, rows_q_prime, amp, lower):
-    """Independent oracle: set probabilities taken as explicit differences."""
+def brute_force_single(rows_q, rows_q_prime, amp):
+    """Independent oracle: lower-set probabilities taken as explicit
+    differences ``F(x_j) - F(x_0)``; the first strict maximum in ``(p, j)``
+    order wins."""
     best, where = -np.inf, None
     for p, (fa, fb) in enumerate(zip(rows_q, rows_q_prime)):
-        for i, j in one_sided(rows_q.shape[1], lower):
-            v = (fa[j] - fa[i]) - amp * (fb[j] - fb[i])
+        for j in range(1, rows_q.shape[1]):
+            v = (fa[j] - fa[0]) - amp * (fb[j] - fb[0])
             if v > best:
-                best, where = v, (p, i, j)
+                best, where = v, (p, j)
     return best, where
 
 
-def quadratic_single(rows_q, rows_q_prime, amp, lower):
-    """Every interval in the kernel's float grouping, ``d[j] - d[i]`` with
-    ``d = F_q - amp * F_q'``, the two-sided ones skipped; the first strict
-    maximum in ``(p, i, j)`` order wins."""
+def quadratic_single(rows_q, rows_q_prime, amp):
+    """Every lower set in the float grouping ``d[j] - d[0]`` with
+    ``d = F_q - amp * F_q'``; the first strict maximum in ``(p, j)`` order
+    wins."""
     best, where = -np.inf, None
-    m = rows_q.shape[1]
     for p, (fa, fb) in enumerate(zip(rows_q, rows_q_prime)):
         d = fa - amp * fb
-        for i in range(m - 1):
-            for j in range(i + 1, m):
-                if (i == 0 if lower else j == m - 1) and d[j] - d[i] > best:
-                    best, where = d[j] - d[i], (p, i, j)
+        for j in range(1, len(d)):
+            if d[j] - d[0] > best:
+                best, where = d[j] - d[0], (p, j)
     return best, where
 
 
@@ -70,81 +63,71 @@ def quantised_case(rng, n_rows=5, m=8):
 
 
 def test_numpy_kernel_matches_brute_force():
-    for lower in (True, False):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            f, g, amp = random_case(rng)
-            expected, _ = brute_force_single(f, g, amp, lower)
-            got, p, i, j = worst_interval_margin(f, g, amp, lower)
-            assert got == pytest.approx(expected, abs=1e-12)
-            # oracle uses a different float grouping, so compare margins, not indices
-            d = f[p] - amp * g[p]
-            assert d[j] - d[i] == got
-            assert (i, j) in one_sided(f.shape[1], lower)
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        f, g, amp = random_case(rng)
+        expected, _ = brute_force_single(f, g, amp)
+        got, p, j = worst_interval_margin(f, g, amp)
+        assert got == pytest.approx(expected, abs=1e-12)
+        # oracle uses a different float grouping, so compare margins, not indices
+        assert f[p, j] - amp * g[p, j] == got
+        assert 1 <= j < f.shape[1]
 
 
 def test_numpy_kernel_matches_quadratic_scan_bitwise():
-    for lower in (True, False):
-        rng = np.random.default_rng(6)
-        for _ in range(10):
-            f, g, amp = random_case(rng)
-            # pairs in row order; shuffled; and the pairs (q, q) alone, where
-            # d = (1 - amp) F_q makes every margin negative
-            same = np.flatnonzero((f == g).all(axis=1))
-            for order in (np.arange(len(f)), rng.permutation(len(f)), same):
-                best, (p, i, j) = quadratic_single(f[order], g[order], amp, lower)
-                assert worst_interval_margin(f[order], g[order], amp, lower) == (best, p, i, j)
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        f, g, amp = random_case(rng)
+        # pairs in row order; shuffled; and the pairs (q, q) alone, where
+        # d = (1 - amp) F_q makes every margin negative
+        same = np.flatnonzero((f == g).all(axis=1))
+        for order in (np.arange(len(f)), rng.permutation(len(f)), same):
+            best, (p, j) = quadratic_single(f[order], g[order], amp)
+            assert worst_interval_margin(f[order], g[order], amp) == (best, p, j)
 
 
 def test_ties_resolve_to_lexicographically_first_witness():
-    # among one-sided sets, the first (i, j) is the first free end
-    for lower in (True, False):
-        rng = np.random.default_rng(5)
-        tied_pairs = tied_sets = 0
-        for _ in range(20):
-            f, g, amp = quantised_case(rng)
-            expected, (ep, ei, ej) = brute_force_single(f, g, amp, lower)
-            ties = [(p, i, j)
-                    for p in range(len(f))
-                    for i, j in one_sided(f.shape[1], lower)
-                    if (f[p, j] - f[p, i]) - amp * (g[p, j] - g[p, i]) == expected]
-            tied_pairs += any(p != ep for p, _, _ in ties)
-            tied_sets += any(p == ep and (i, j) != (ei, ej) for p, i, j in ties)
-            assert worst_interval_margin(f, g, amp, lower) == (expected, ep, ei, ej)
-        # the cases exercise ties both across pairs and within the winning pair
-        assert tied_pairs > 0 and tied_sets > 0
+    # among lower sets, the first pair, then the smallest set
+    rng = np.random.default_rng(5)
+    tied_pairs = tied_sets = 0
+    for _ in range(20):
+        f, g, amp = quantised_case(rng)
+        expected, (ep, ej) = brute_force_single(f, g, amp)
+        ties = [(p, j) for p in range(len(f)) for j in range(1, f.shape[1])
+                if f[p, j] - amp * g[p, j] == expected]
+        tied_pairs += any(p != ep for p, _ in ties)
+        tied_sets += any(p == ep and j != ej for p, j in ties)
+        assert worst_interval_margin(f, g, amp) == (expected, ep, ej)
+    # the cases exercise ties both across pairs and within the winning pair
+    assert tied_pairs > 0 and tied_sets > 0
 
 
 def test_ties_across_many_pairs_resolve_to_first_pair():
-    for lower in (True, False):
-        f, g, amp = quantised_case(np.random.default_rng(8))
-        expected, (ep, ei, ej) = brute_force_single(f, g, amp, lower)
-        # 100,000 pairs, the same few repeated: every winning margin ties with a
-        # copy of it far down the pair axis, and the first copy must win
-        reps = 4_000
-        got = worst_interval_margin(np.tile(f, (reps, 1)), np.tile(g, (reps, 1)), amp, lower)
-        assert got == (expected, ep, ei, ej)
+    f, g, amp = quantised_case(np.random.default_rng(8))
+    expected, (ep, ej) = brute_force_single(f, g, amp)
+    # 100,000 pairs, the same few repeated: every winning margin ties with a
+    # copy of it far down the pair axis, and the first copy must win
+    reps = 4_000
+    got = worst_interval_margin(np.tile(f, (reps, 1)), np.tile(g, (reps, 1)), amp)
+    assert got == (expected, ep, ej)
 
 
 def test_numpy_scan_memory_is_linear_in_pairs():
     domain = OutputDomain(0.0, 1.0, 0.5)
     budget = PrivacyBudget(1.0, 0.0)
     mech = CalibratedMechanism(domain, budget, calibrate(domain, budget).b_star)
-    sides = _scan_grid(mech, 200, 200)
-    assert len(sides) == 2
-    for qs, partners, _, f, g in sides:
-        assert f.shape == (199, 200)
-        lower = bool(partners[0] > qs[0])
-        for reps in (1, 4):
-            rows_q, rows_q_prime = np.tile(f, (reps, 1)), np.tile(g, (reps, 1))
-            tracemalloc.start()
-            try:
-                worst_interval_margin(rows_q, rows_q_prime, math.e, lower)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            # the difference table and its gains, no copy of the inputs
-            assert peak < 2.5 * rows_q.nbytes
+    *_, f, g = _scan_grid(mech, 200, 200)
+    assert f.shape == (199, 200)
+    for reps in (1, 4):
+        rows_q, rows_q_prime = np.tile(f, (reps, 1)), np.tile(g, (reps, 1))
+        tracemalloc.start()
+        try:
+            worst_interval_margin(rows_q, rows_q_prime, math.e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the difference table, no copy of the inputs
+        assert peak < 1.5 * rows_q.nbytes
 
 
 def test_two_interval_oracle_matches_brute_force():
@@ -172,10 +155,11 @@ def test_all_intervals_oracle_matches_brute_force():
 
 def test_kernel_input_validation():
     row = np.array([[0.0, 1.0]])
-    for lower in (True, False):
-        for f, g in ((row, np.array([[0.0, 0.5, 1.0]])),  # unequal shapes
-                     (np.empty((0, 2)), np.empty((0, 2))),  # no pair
-                     (np.array([[0.0]]), np.array([[0.0]])),  # one grid column
-                     (np.array([0.0, 1.0]), np.array([0.0, 1.0]))):  # not 2-d
-            with pytest.raises(ValueError):
-                worst_interval_margin(f, g, 1.0, lower)
+    for f, g in ((row, np.array([[0.0, 0.5, 1.0]])),  # unequal shapes
+                 (np.empty((0, 2)), np.empty((0, 2))),  # no pair
+                 (np.array([[0.0]]), np.array([[0.0]])),  # one grid column
+                 (np.array([0.0, 1.0]), np.array([0.0, 1.0])),  # not 2-d
+                 (np.array([[0.5, 1.0]]), row),  # F_q above 0 at x_0
+                 (row, np.array([[1e-300, 1.0]]))):  # F_q' above 0 at x_0
+        with pytest.raises(ValueError):
+            worst_interval_margin(f, g, 1.0)

@@ -19,6 +19,7 @@ from bounded_laplace import (
     check_sufficient_condition,
     default_sweep_grid,
     empirical_privacy_estimate,
+    fixed_point_operator,
     run_all_checks,
 )
 from bounded_laplace import mechanism, verification
@@ -38,8 +39,8 @@ from helpers import (
 BUDGET = PrivacyBudget(1.0, 0.0)
 FAST = {"q_grid": 80, "set_grid": 80}
 # lower + sensitivity rounds at the scale of |lower| (about 10), far coarser
-# than the width's ulp, so the worst-case pair sits a few width ulps more
-# than one sensitivity apart
+# than the width's ulp, and lands a few width ulps more than one sensitivity
+# above lower, so the worst-case pair steps one ulp back
 FAR_DOMAIN = OutputDomain(-9.993759296579928, -9.784134590603939, 0.1048123529879943)
 FAR_BUDGET = PrivacyBudget(0.6751111394352484, 0.0)
 
@@ -76,24 +77,18 @@ def test_privacy_holds_at_baseline_when_sensitivity_spans_domain():
 
 
 def test_privacy_witness_lands_near_worst_pair():
-    # Compared in grid steps, not float distances: the worst pair
-    # (lower, lower + sensitivity) and its mirror tie exactly, and rounding
-    # of the grid points must not decide which one the test accepts.
+    # at the calibrated scale the witness is the paper's worst pair
+    # (lower, lower + sensitivity), and its set is a lower set of that
+    # pair's grid, short of the upper edge
     domain = OutputDomain(0.0, 1.0, 0.5)
     mech = calibrated(domain)
     res = check_privacy_inequality(mech, **FAST)
-    q, q_prime = res.witness["q"], res.witness["q_prime"]
-    last = FAST["q_grid"] - 1
-    i = round((q - domain.lower) / domain.width * last)
-    assert i <= 1 or i >= last - 1
-    assert abs(q_prime - q) == pytest.approx(domain.sensitivity, rel=1e-12)
-    # the pair is one the scan made, and its worst set hugs a domain edge
-    (xs,) = [xs[k] for qs, partners, xs, _, _ in _scan_grid(mech, **FAST)
-             for k in np.flatnonzero((qs == q) & (partners == q_prime))]
+    assert (res.witness["q"], res.witness["q_prime"]) == domain.worst_case_pair()
+    qs, _, xs, _, _ = _scan_grid(mech, **FAST)
+    assert qs[0] == domain.lower
     (a, b), = res.witness["intervals"]
-    ia = int(np.flatnonzero(xs == a)[0])
-    ib = int(np.flatnonzero(xs == b)[0])
-    assert ia <= 1 or ib >= FAST["set_grid"] - 2
+    assert a == xs[0, 0] == domain.lower
+    assert b in xs[0] and b < domain.upper
 
 
 def test_privacy_check_on_shifted_domain_with_delta():
@@ -115,16 +110,16 @@ def test_privacy_check_on_shifted_domain_with_delta():
      PrivacyBudget(0.6751111394352484, 0.0)),
 ], ids=["0.1", "0.5", "0.9", "shifted_with_delta", "far_from_zero"])
 def test_single_intervals_suffice_for_privacy_scan(domain, budget):
-    # the likelihood ratio is monotone in the output, so neither a union of
-    # two disjoint intervals nor any single interval beats the best one-sided
-    # set, lower for q < q' and upper for q > q', on the verifier's own grid
+    # the likelihood ratio is monotone in the output, so for q < q' neither a
+    # union of two disjoint intervals nor any single interval beats the best
+    # lower set on the verifier's own grid
     for scale in (baseline_scale(domain, budget), calibrate(domain, budget).b_star):
         mech = CalibratedMechanism(domain, budget, scale)
         amp = math.exp(budget.epsilon)
-        for qs, partners, _, rows_q, rows_q_prime in _scan_grid(mech, q_grid=60, set_grid=60):
-            one_sided = worst_interval_margin(rows_q, rows_q_prime, amp, partners[0] > qs[0])[0]
-            assert two_interval_margin(rows_q, rows_q_prime, amp)[0] <= one_sided + 1e-14
-            assert all_intervals_margin(rows_q, rows_q_prime, amp) <= one_sided + 1e-14
+        *_, rows_q, rows_q_prime = _scan_grid(mech, q_grid=60, set_grid=60)
+        lower_set = worst_interval_margin(rows_q, rows_q_prime, amp)[0]
+        assert two_interval_margin(rows_q, rows_q_prime, amp)[0] <= lower_set + 1e-14
+        assert all_intervals_margin(rows_q, rows_q_prime, amp) <= lower_set + 1e-14
 
 
 def test_privacy_check_stable_under_grid_refinement():
@@ -157,11 +152,13 @@ def test_privacy_check_rejects_epsilon_beyond_exp_range(monkeypatch):
 def _oracle_family():
     """(domain, budget) of the scan's oracle comparison: three domains, the
     sensitivity from 1e-4 of the width to all of it, eps from 0.01 to 50,
-    delta 0 and 1e-3, and seeded random problems."""
+    delta 0 and 1e-3, and seeded random problems.  Eps 30 and 35 are where
+    an upper set's margin, a difference of two terms of size e^eps, rounds
+    up to 2**-9 and more on private scales."""
     for lower, upper in ((0.0, 1.0), (0.0, 1000.0), (-4.0, -1.0)):
         for frac in (1e-4, 1e-3, 1e-2, 0.1, 0.3, 0.5, 0.9, 1.0):
             sensitivity = upper - lower if frac == 1.0 else frac * (upper - lower)
-            for eps in (0.01, 0.1, 1.0, 5.0, 50.0):
+            for eps in (0.01, 0.1, 1.0, 5.0, 30.0, 35.0, 50.0):
                 for delta in (0.0, 1e-3):
                     yield OutputDomain(lower, upper, sensitivity), PrivacyBudget(eps, delta)
     rng = np.random.default_rng(11)
@@ -174,14 +171,21 @@ def test_privacy_scan_fails_wherever_the_all_pairs_oracle_fails():
     # sensitivity or the scale is small against the width; the scan on
     # pairs one sensitivity apart, each with its own equal-mass set grid,
     # must catch everything it catches, and never fail a private scale.
+    # The oracle's gains are differences of table entries of size up to
+    # e^eps, each with a few ulps of error, so below 32 e^eps * 2**-53 its
+    # margin is rounding: it reads 2**-9 at eps = 30 and 0.25 at eps = 35 on
+    # private scales.  Up to eps = 10 the bound is below 1e-10 and changes
+    # no verdict, and at eps = 50 the oracle fails nowhere either way.
     grids = {"q_grid": 40, "set_grid": 40}
     oracle_fails = scan_fails = 0
     for domain, budget in _oracle_family():
         report = calibrate(domain, budget)
+        rounding = 32.0 * math.exp(budget.epsilon) * 2.0**-53
         for scale in (report.b0, report.b_star):
             mech = CalibratedMechanism(domain, budget, scale)
             res = check_privacy_inequality(mech, **grids)
-            oracle_fail = all_pairs_uniform_scan(mech, **grids) > verification.PRIVACY_SLACK
+            oracle = all_pairs_uniform_scan(mech, **grids)
+            oracle_fail = oracle > verification.PRIVACY_SLACK + rounding
             assert not oracle_fail or not res.passed, (domain, budget, scale)
             if achieved_epsilon(domain, scale, budget.delta) <= budget.epsilon:
                 assert res.passed, (domain, budget, scale, res)
@@ -202,9 +206,8 @@ def test_privacy_scan_matches_the_all_intervals_oracle():
         for scale in (report.b0, report.b_star):
             mech = CalibratedMechanism(domain, budget, scale)
             res = check_privacy_inequality(mech, **grids)
-            oracle = max((all_intervals_margin(f, g, amp)
-                          for *_, f, g in _scan_grid(mech, **grids)),
-                         default=-math.inf) - budget.delta
+            *_, f, g = _scan_grid(mech, **grids)
+            oracle = all_intervals_margin(f, g, amp) - budget.delta
             oracle_fails = oracle > verification.PRIVACY_SLACK
             assert res.passed != oracle_fails, (domain, budget, scale, res, oracle)
             assert res.worst_margin <= oracle, (domain, budget, scale, res, oracle)
@@ -212,6 +215,46 @@ def test_privacy_scan_matches_the_all_intervals_oracle():
                 assert res.worst_margin == oracle, (domain, budget, scale, res, oracle)
             fails += oracle_fails
     assert fails > 0
+
+
+def test_privacy_scan_verdict_is_reflection_invariant():
+    # x -> -x maps each pair q > q' of a domain and its upper sets onto a
+    # pair q < q' of [-upper, -lower] and its lower sets, so scanning the
+    # lower sets of one side must give the mirror domain the same verdict,
+    # and where it fails the same margin
+    grids = {"q_grid": 40, "set_grid": 40}
+    fails = 0
+    for domain, budget in _oracle_family():
+        mirror = OutputDomain(-domain.upper, -domain.lower, domain.sensitivity)
+        report = calibrate(domain, budget)
+        for scale in (report.b0, report.b_star):
+            res = check_privacy_inequality(CalibratedMechanism(domain, budget, scale), **grids)
+            ref = check_privacy_inequality(CalibratedMechanism(mirror, budget, scale), **grids)
+            assert res.passed == ref.passed, (domain, budget, scale, res, ref)
+            if not res.passed:
+                assert res.worst_margin == pytest.approx(ref.worst_margin, rel=1e-9), (
+                    domain, budget, scale, res, ref)
+            fails += not res.passed
+    assert fails > 0
+
+
+def test_scan_tables_are_exactly_zero_at_the_lower_edge():
+    # the kernel reads a lower set's margin as one table entry, which needs
+    # every set grid to start at lower and every CDF to be exactly 0 there
+    for domain, budget in _oracle_family():
+        report = calibrate(domain, budget)
+        for scale in (report.b0, report.b_star):
+            mech = CalibratedMechanism(domain, budget, scale)
+            qs, partners, xs, f, g = _scan_grid(mech, q_grid=40, set_grid=5)
+            assert (xs[:, 0] == domain.lower).all(), (domain, budget, scale)
+            assert not f[:, 0].any() and not g[:, 0].any(), (domain, budget, scale)
+    # and at scales from 1e-9 to 1e12 widths, for queries across the domain
+    for domain in (OutputDomain(0.0, 1.0, 0.5), OutputDomain(-4.0, -1.0, 1.2), FAR_DOMAIN):
+        qs = np.linspace(domain.lower, domain.upper, 101)
+        for ratio in 10.0 ** np.arange(-9.0, 13.0):
+            mech = CalibratedMechanism(domain, BUDGET, ratio * domain.width)
+            assert (mech.quantile(qs, 0.0) == domain.lower).all(), (domain, ratio)
+            assert not mech.cdf(qs, domain.lower).any(), (domain, ratio)
 
 
 @pytest.mark.parametrize("upper", [1.0, 1000.0])
@@ -236,8 +279,12 @@ def test_privacy_scan_pairs_are_admissible():
     mechs = [CalibratedMechanism(tiny, BUDGET, u / 2), calibrated(FAR_DOMAIN, FAR_BUDGET)]
     mechs += [calibrated(domain, budget) for domain, budget in _oracle_family()]
     for mech in mechs:
-        for qs, partners, *_ in _scan_grid(mech, q_grid=200, set_grid=2):
-            assert (np.abs(partners - qs) <= mech.domain.sensitivity).all(), mech.domain
+        qs, partners, *_ = _scan_grid(mech, q_grid=200, set_grid=2)
+        assert (partners > qs).all(), mech.domain
+        assert (partners - qs <= mech.domain.sensitivity).all(), mech.domain
+        # the worst-case pair that the empirical check samples obeys the same rule
+        if qs.size:
+            assert mech.domain.worst_case_pair() == (qs[0], partners[0]), mech.domain
     # half an ulp of 1: every sum rounds to q or an ulp away, two sensitivities,
     # so no two grid queries form a pair
     res = check_privacy_inequality(mechs[0], q_grid=8, set_grid=5)
@@ -246,9 +293,9 @@ def test_privacy_scan_pairs_are_admissible():
     # one and a half ulps: the sum rounds to one or two ulps away, and every
     # partner ends one ulp from q
     wide = CalibratedMechanism(OutputDomain(1.0, 1.0 + 7 * u, 1.5 * u), BUDGET, u)
-    sides = _scan_grid(wide, q_grid=8, set_grid=5)
-    assert [len(q) for q, *_ in sides] == [7, 7]
-    assert all((np.abs(p - q) == u).all() for q, p, *_ in sides)
+    qs, partners, *_ = _scan_grid(wide, q_grid=8, set_grid=5)
+    assert len(qs) == 7
+    assert (partners - qs == u).all()
 
 
 def test_privacy_scan_with_no_distinct_pair_reports():
@@ -504,6 +551,31 @@ def test_fixed_point_properties_at_small_epsilon_and_sensitivity():
     assert res.witness["worst_f_slope"] < 0.0 and res.witness["worst_ratio_slope"] < 0.0
 
 
+def test_fixed_point_witness_reports_the_unrounded_update():
+    # calibrate's f_b0 is its bracket end, f(b0) rounded up one ulp; the
+    # check reports f(b0) itself under another name, one ulp below it here
+    domain, budget = OutputDomain(0.0, 1.0, 0.5), PrivacyBudget(1000.0)
+    w = check_fixed_point_properties(domain, budget).witness
+    assert "f_b0" not in w
+    assert w["f_of_b0"] == fixed_point_operator(domain, budget, w["b0"])
+    assert calibrate(domain, budget).f_b0 == math.nextafter(w["f_of_b0"], math.inf)
+
+
+def test_fixed_point_check_fails_an_update_below_b0(monkeypatch):
+    # the check tests f(b0) unrounded: the bracket's clamp to b0 and its
+    # rounding up would hide an update that falls below b0
+    domain = OutputDomain(0.0, 1.0, 0.5)
+    b0 = baseline_scale(domain, BUDGET)
+
+    def low_at_b0(d, budget, b):
+        return math.nextafter(b0, 0.0) if b == b0 else fixed_point_operator(d, budget, b)
+
+    monkeypatch.setattr(verification, "fixed_point_operator", low_at_b0)
+    res = check_fixed_point_properties(domain, BUDGET)
+    assert not res.passed
+    assert res.witness["f_of_b0"] < res.witness["b0"] and res.witness["relative_gap"] < 0.0
+
+
 def test_ratio_at_baseline_below_feasibility_bound():
     rng = np.random.default_rng(37)
     from bounded_laplace import normalizer_ratio
@@ -562,6 +634,14 @@ def test_empirical_estimate_rejects_distant_pair():
     with pytest.raises(ValueError):
         empirical_privacy_estimate(mech, 0.0, 0.9, samples=100,
                                    rng=np.random.default_rng(0))
+    # admission is exact: lower + sensitivity, a few ulps more than one
+    # sensitivity above lower, is refused in either order
+    mech = calibrated(FAR_DOMAIN, FAR_BUDGET)
+    pair = (FAR_DOMAIN.lower, FAR_DOMAIN.lower + FAR_DOMAIN.sensitivity)
+    for q, q_prime in (pair, pair[::-1]):
+        with pytest.raises(ValueError, match="within one sensitivity"):
+            empirical_privacy_estimate(mech, q, q_prime, samples=100,
+                                       rng=np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("domain, budget", [
@@ -690,8 +770,13 @@ def test_run_all_checks_ends_with_empirical_estimate():
 
 
 def test_run_all_checks_on_domain_far_from_zero():
+    # lower + sensitivity lands more than one sensitivity above lower; the
+    # worst-case pair steps one ulp back, and the empirical check admits it
+    lower, sensitivity = FAR_DOMAIN.lower, FAR_DOMAIN.sensitivity
+    assert (lower + sensitivity) - lower > sensitivity
     q, q_prime = FAR_DOMAIN.worst_case_pair()
-    assert abs(q - q_prime) > FAR_DOMAIN.sensitivity + 8.0 * np.spacing(FAR_DOMAIN.width)
+    assert (q, q_prime) == (lower, math.nextafter(lower + sensitivity, lower))
+    assert q_prime - q <= sensitivity
     report = run_all_checks(FAR_DOMAIN, FAR_BUDGET, **FAST,
                             rng=np.random.default_rng(25), samples=200_000)
     assert report.all_passed
