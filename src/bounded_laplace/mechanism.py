@@ -93,6 +93,8 @@ class OutputDomain:
         object.__setattr__(self, "sensitivity", _finite("sensitivity", self.sensitivity))
         if not self.lower < self.upper:
             raise ValueError(f"domain requires lower < upper, got [{self.lower}, {self.upper}]")
+        if not math.isfinite(self.width):
+            raise ValueError(f"domain width upper - lower must be finite, got {self.width}")
         if not 0.0 < self.sensitivity <= self.width:
             raise ValueError(
                 f"sensitivity must lie in (0, {self.width}], got {self.sensitivity}"

@@ -27,6 +27,15 @@ width.  The grid check is a sound falsifier: any witness it reports is a
 real violation, up to the rounding of the closed-form masses; a pass is
 evidence at the grid's resolution, not a proof.
 
+The empirical check tests the same inequality on the same sets with sampled
+frequencies, so it also tests the sampler as run.  Its one allowance is the
+DKW bound with Massart's constant: each sampled CDF strays from its law by
+more than sqrt(ln(2 / alpha) / (2 samples)) on the side that raises the
+margin with probability at most alpha / 2, so a private mechanism fails
+with probability at most alpha = ``EMPIRICAL_FALSE_ALARM``.  A FAIL is a
+violation at that confidence; excesses below the resolution in its witness
+cannot be told from noise, and one above twice it fails w.p. >= 1 - alpha.
+
 Grid sizes and the sample count are plain ints defaulting to ``SCAN_GRID``
 and ``EMPIRICAL_SAMPLES``, as the CLI's flags do; all else is a constant.
 
@@ -74,14 +83,11 @@ FD_SLACK = 1e-8
 MONOTONICITY_GRID = 64
 # Log-spaced scales at which the fixed-point slopes are differenced.
 FIXED_POINT_GRID = 40
-# Draws per query of the empirical estimate.
+# Draws per query of the empirical check.
 EMPIRICAL_SAMPLES = 1_000_000
-# Absolute slack allowed on the empirical max log-ratio estimate.
-EMPIRICAL_SLACK = 0.05
-# Equal-width bins of the empirical estimate, and the count both queries
-# need in a bin for it to enter the estimate.
-EMPIRICAL_BINS = 50
-EMPIRICAL_FLOOR = 10
+# Largest chance that the empirical check fails a private mechanism; its
+# allowance is the DKW bound at this probability.
+EMPIRICAL_FALSE_ALARM = 1e-6
 
 
 @dataclass(frozen=True)
@@ -304,41 +310,33 @@ def check_fixed_point_properties(domain, budget) -> CheckResult:
 
 
 def _sampled_counts(mech, q, rng, samples, edges):
-    """Histogram over ``edges`` of ``samples`` draws of ``mech.sample_inverse``
-    at q, drawn and counted ``BLOCK`` at a time.
-
-    Each block is sorted in place and the edges are located in it by binary
-    search, as ``np.histogram`` does for explicit edges but without its copy
-    of the block: ``cum[k]`` counts the draws below ``edges[k]``, and the
-    last entry those up to and including ``edges[-1]``, so every bin is
-    half-open except the last, which is closed.
-    """
-    cum = np.zeros(edges.size, dtype=np.intp)
+    """How many of ``samples`` draws of ``mech.sample_inverse`` at q lie at or
+    below each of ``edges``, drawn ``BLOCK`` at a time; each block is sorted
+    in place and the edges are found in it by binary search."""
+    below = np.zeros(edges.size, dtype=np.intp)
     for start in range(0, samples, BLOCK):
         block = mech.sample_inverse(q, rng, size=min(BLOCK, samples - start))
         block.sort()
-        cum[:-1] += block.searchsorted(edges[:-1], "left")
-        cum[-1:] += block.searchsorted(edges[-1:], "right")
-    return np.diff(cum)
+        below += block.searchsorted(edges, "right")
+    return below
 
 
 def empirical_privacy_estimate(mech, q, q_prime, samples: int = EMPIRICAL_SAMPLES,
                                rng=None) -> CheckResult:
-    """Monte-Carlo sanity check complementing the analytic privacy check.
+    """The grid check's inequality on sampled CDFs (see the module docstring).
 
-    Draws ``samples`` outputs for each of q and q', bins them into
-    ``EMPIRICAL_BINS`` equal bins over the domain, and estimates the max over
-    bins of log(freq_q / freq_q') among bins where both counts reach
-    ``EMPIRICAL_FLOOR``.  The margin is that estimate minus epsilon; it is
-    NaN when no bin qualifies.  The estimate is ``reliable`` when at least
-    half the bins qualify, and the check fails only for a reliable estimate
-    more than ``EMPIRICAL_SLACK`` above epsilon.
-
-    The draws are made by ``mech.sample_inverse``, the sampler users call,
-    and counted a block at a time, so working memory is O(block + bins)
-    whatever ``samples`` is.  The counts are those of ``np.histogram`` over
-    ``edges`` of one ``sample_inverse`` call of ``samples`` draws from the
-    same generator state.
+    Draws ``samples`` outputs for each of q and q' by ``mech.sample_inverse``,
+    the sampler users call, and counts them at the edges t of q's
+    ``SCAN_GRID``-point set grid.  The sets are ``[lower, t]`` when q <= q'
+    and ``(t, upper]`` when q > q', the null set left out.  The margin is the
+    largest ``e^-eps (P_q(A) - delta) - P_q'(A)`` with sampled frequencies
+    for P: the grid check's margin times e^-eps, in units of probability
+    under q', finite at any eps.  It passes iff the margin is at most
+    ``resolution = (1 + e^-eps) sqrt(ln(2 / alpha) / (2 samples))``, alpha
+    being ``EMPIRICAL_FALSE_ALARM``.  The witness holds the worst set (an
+    upper set is open at t), the resolution and ``samples``.  Working memory
+    is O(block + grid) whatever ``samples`` is, and the counts are those of
+    one ``sample_inverse`` call of ``samples`` draws.
     """
     d = mech.domain
     q = float(d.require_query(q))
@@ -349,25 +347,23 @@ def empirical_privacy_estimate(mech, q, q_prime, samples: int = EMPIRICAL_SAMPLE
         raise ValueError("samples must be positive")
     if rng is None:
         rng = np.random.default_rng()
-    edges = np.linspace(d.lower, d.upper, EMPIRICAL_BINS + 1)
-    count_q = _sampled_counts(mech, q, rng, samples, edges)
-    count_p = _sampled_counts(mech, q_prime, rng, samples, edges)
-    used = (count_q >= EMPIRICAL_FLOOR) & (count_p >= EMPIRICAL_FLOOR)
-    bins_used = int(used.sum())
-    estimate, witness_bin = math.nan, None
-    if bins_used:
-        log_ratio = np.log(count_q[used]) - np.log(count_p[used])
-        k = int(np.argmax(log_ratio))
-        bin_idx = int(np.nonzero(used)[0][k])
-        estimate = float(log_ratio[k])
-        witness_bin = [float(edges[bin_idx]), float(edges[bin_idx + 1])]
-    reliable = bins_used >= EMPIRICAL_BINS // 2
-    margin = estimate - mech.budget.epsilon
-    witness = {"estimate": estimate, "epsilon": float(mech.budget.epsilon),
-               "reliable": reliable, "bins_used": bins_used, "witness_bin": witness_bin,
-               "samples": int(samples)}
-    return CheckResult("empirical_privacy", bool(not reliable or margin <= EMPIRICAL_SLACK),
-                       float(margin), witness)
+    lower_sets = q <= q_prime
+    # the set grid less its null set, [lower, lower] or (upper, upper]
+    ks = np.arange(1, SCAN_GRID) if lower_sets else np.arange(SCAN_GRID - 1)
+    edges = mech.quantile(q, ks / (SCAN_GRID - 1))
+    cdf_q = _sampled_counts(mech, q, rng, samples, edges) / samples
+    cdf_p = _sampled_counts(mech, q_prime, rng, samples, edges) / samples
+    if not lower_sets:  # the masses of the upper sets (t, upper]
+        cdf_q, cdf_p = 1.0 - cdf_q, 1.0 - cdf_p
+    shrink = math.exp(-mech.budget.epsilon)
+    gains = shrink * (cdf_q - mech.budget.delta) - cdf_p
+    k = int(np.argmax(gains))
+    t, margin = float(edges[k]), float(gains[k])
+    eta = math.sqrt(math.log(2.0 / EMPIRICAL_FALSE_ALARM) / (2.0 * samples))
+    witness = {"set": [float(d.lower), t] if lower_sets else [t, float(d.upper)],
+               "resolution": (1.0 + shrink) * eta, "samples": int(samples)}
+    return CheckResult("empirical_privacy", margin <= witness["resolution"], margin,
+                       witness)
 
 
 def _mechanism_at(domain, budget, scale):

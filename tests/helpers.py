@@ -15,6 +15,7 @@ from bounded_laplace import (
     normalizer_ratio,
 )
 from bounded_laplace.mechanism import _sample_count
+from bounded_laplace.verification import SCAN_GRID
 
 
 def random_problem(rng, span_fraction=None, eps_range=(1e-2, 10.0), delta_max=0.5):
@@ -184,12 +185,29 @@ def reference_rejection(mech, q, rng, size=None):
     return values, draws
 
 
+def counts_at_or_below(values, edges):
+    """Oracle for the empirical check's counts: one comparison pass per edge."""
+    return np.array([np.count_nonzero(values <= t) for t in edges], dtype=np.intp)
+
+
 def reference_empirical_counts(mech, q, q_prime, rng, samples, edges):
-    """Oracle for the empirical estimate's bin counts: all ``samples`` draws
-    for q, then all for q', each drawn and histogrammed at once."""
-    count_q = np.histogram(mech.sample_inverse(q, rng, size=samples), edges)[0]
-    count_p = np.histogram(mech.sample_inverse(q_prime, rng, size=samples), edges)[0]
-    return count_q, count_p
+    """Oracle for the empirical check's counts: all ``samples`` draws for q,
+    then all for q', each drawn at once and counted at or below every edge."""
+    return (counts_at_or_below(mech.sample_inverse(q, rng, size=samples), edges),
+            counts_at_or_below(mech.sample_inverse(q_prime, rng, size=samples), edges))
+
+
+def closed_form_empirical_margin(mech, q, q_prime):
+    """Oracle for the empirical check's margin without sampling: the same
+    ``e^-eps (P_q(A) - delta) - P_q'(A)`` over the same sets, at q's
+    equal-mass edges t but the null set's, from ``mech.cdf`` there."""
+    ks = np.arange(1, SCAN_GRID) if q <= q_prime else np.arange(SCAN_GRID - 1)
+    edges = mech.quantile(q, ks / (SCAN_GRID - 1))
+    cdf_q, cdf_p = mech.cdf(q, edges), mech.cdf(q_prime, edges)
+    if q > q_prime:  # upper sets (t, upper]
+        cdf_q, cdf_p = 1.0 - cdf_q, 1.0 - cdf_p
+    gains = math.exp(-mech.budget.epsilon) * (cdf_q - mech.budget.delta) - cdf_p
+    return float(gains.max())
 
 
 def all_pairs_uniform_scan(mech, q_grid, set_grid):

@@ -72,6 +72,16 @@ def test_calibrate_rejects_oversized_sensitivity(capsys):
     assert "sensitivity" in err
 
 
+def test_calibrate_rejects_a_width_that_overflows():
+    # a subprocess, so any numpy warning would reach its stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "bounded_laplace", "calibrate", "--epsilon", "1",
+         "--lower=-1e308", "--upper", "1e308", "--sensitivity", "1"],
+        capture_output=True, text=True, check=False)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: domain width upper - lower must be finite, got inf\n"
+
+
 # --------------------------------------------------------------------- sample
 
 
@@ -348,21 +358,48 @@ def _reject_constant(token):
 
 @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
 def test_verify_json_is_strict_with_too_few_samples(fmt, capsys):
-    # 10 draws fill no bin, so the empirical estimate and its margin are NaN
-    code, out, _ = run_cli(["verify", *BASE, "--sensitivity", "0.5", "--samples", "10",
-                            "--seed", "1", "--format", fmt], capsys)
-    assert code == 0
+    # above log(DBL_MAX) the grid check refuses with a NaN margin; the other
+    # checks still report, the empirical one on 10 draws
+    code, out, _ = run_cli(["verify", "--epsilon", "1000", "--lower", "0", "--upper", "1",
+                            "--sensitivity", "0.5", "--samples", "10", "--seed", "1",
+                            "--format", fmt], capsys)
+    assert code == 1
     if fmt == "json":
-        empirical = json.loads(out, parse_constant=_reject_constant)["checks"][-1]
-        assert empirical["worst_margin"] is None
-        witnesses = [empirical["witness"]]
+        checks = json.loads(out, parse_constant=_reject_constant)["checks"]
+        assert checks[0]["worst_margin"] is None
+        assert checks[-1]["passed"] and checks[-1]["witness"]["samples"] == 10
+        witnesses = [c["witness"] for c in checks]
     else:
         if fmt == "csv":
-            docs = [row[3] for row in list(csv.reader(io.StringIO(out)))[1:]]
+            rows = list(csv.reader(io.StringIO(out)))[1:]
+            margins, docs = [row[2] for row in rows], [row[3] for row in rows]
         else:
-            docs = [line.split(" witness=", 1)[1] for line in out.splitlines()[:-1]]
+            lines = out.splitlines()[:-1]
+            margins = [line.split(" worst_margin=", 1)[1].split(" ", 1)[0] for line in lines]
+            docs = [line.split(" witness=", 1)[1] for line in lines]
+        assert margins[0] == "nan"
         witnesses = [json.loads(doc, parse_constant=_reject_constant) for doc in docs]
-    assert witnesses[-1]["estimate"] is None
+    assert "exceeds log(DBL_MAX)" in witnesses[0]["refused"]
+    assert len(witnesses) == 5
+
+
+def test_verify_passes_the_calibrated_scale_at_positive_delta(capsys):
+    # the empirical check tests (eps, delta)-privacy, so delta's room counts
+    code, out, _ = run_cli(["verify", "--epsilon", "1", "--delta", "0.1", "--lower", "0",
+                            "--upper", "1", "--sensitivity", "0.5", "--seed", "1",
+                            "--format", "json"], capsys)
+    assert code == 0
+    assert all(c["passed"] for c in json.loads(out)["checks"])
+
+
+def test_verify_empirical_check_fails_b0_at_small_sensitivity(capsys):
+    # b0 = 0.02 on [0, 1] with sensitivity 0.02 achieves eps = 1.49
+    code, out, _ = run_cli(["verify", *BASE, "--sensitivity", "0.02", "--b", "0.02",
+                            "--seed", "1", "--format", "json"], capsys)
+    assert code == 1
+    empirical = json.loads(out)["checks"][-1]
+    assert empirical["name"] == "empirical_privacy" and not empirical["passed"]
+    assert empirical["worst_margin"] > 2.0 * empirical["witness"]["resolution"]
 
 
 # ------------------------------------------------------------- seeded output
@@ -377,9 +414,9 @@ PINNED = ["--epsilon", "1", "--lower", "0", "--upper", "1", "--sensitivity", "0.
 # updates them and says so in CHANGES.md.
 @pytest.mark.parametrize("argv, code, digest", [
     (["verify", *PINNED, "--seed", "7", "--format", "json"], 0,
-     "98230d152ee68cf03d7f61f918d5cc939e4bb8fa876fbda0942faa68f4efa8f4"),
+     "b49963579925146489f48fd0b53a1720964b3fbccfa86b961417b0f9805631bd"),
     (["verify", *PINNED, "--b", "0.5", "--seed", "7", "--format", "json"], 1,
-     "81e1fabbe922a35ccdbd122cd138c95bd2013a48728d088ca95b6aa0595c37f0"),
+     "b829e18ced6b265eaa9b13f1b64fc1edf71faea8d7ebf9c9195b8c5c85067fb9"),
     (["sample", *PINNED, "--q", "0.3", "--n", "100000", "--seed", "42",
       "--sampler", "inverse"], 0,
      "6cae4c880ec85368a42d153c91cd1aed582481424e49e076f4d8f4831438957b"),

@@ -84,6 +84,12 @@ def test_domain_rejects_infinite_edges():
         OutputDomain(0.0, math.inf, 1.0)
 
 
+def test_domain_rejects_a_width_that_overflows():
+    # both edges are finite, but upper - lower rounds to inf
+    with pytest.raises(ValueError, match="width upper - lower must be finite, got inf"):
+        OutputDomain(-1e308, 1e308, 1.0)
+
+
 def test_query_outside_domain_rejected():
     with pytest.raises(ValueError):
         UNIT.require_query(1.5)

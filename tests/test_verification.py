@@ -24,10 +24,12 @@ from bounded_laplace import (
 )
 from bounded_laplace import mechanism, verification
 from bounded_laplace._kernels import worst_interval_margin
-from bounded_laplace.verification import _sampled_counts, _scan_grid
+from bounded_laplace.verification import SCAN_GRID, _sampled_counts, _scan_grid
 from helpers import (
     all_intervals_margin,
     all_pairs_uniform_scan,
+    closed_form_empirical_margin,
+    counts_at_or_below,
     laplace_mass_quadrature,
     random_problem,
     reference_empirical_counts,
@@ -589,43 +591,96 @@ def test_ratio_at_baseline_below_feasibility_bound():
 # ------------------------------------------------------- empirical estimator
 
 
+def _assert_near_closed_form(res, mech, q, q_prime):
+    # by two-sided DKW the margin is off by at most the resolution with
+    # probability at least 1 - 2 EMPIRICAL_FALSE_ALARM
+    closed = closed_form_empirical_margin(mech, q, q_prime)
+    assert abs(res.worst_margin - closed) <= res.witness["resolution"], (res, closed)
+    return closed
+
+
 def test_empirical_estimate_identical_queries_near_zero():
     domain = OutputDomain(0.0, 1.0, 0.5)
     mech = calibrated(domain)
-    est = empirical_privacy_estimate(mech, 0.4, 0.4, samples=200_000,
-                                     rng=np.random.default_rng(8)).witness
-    assert est["reliable"]
-    assert abs(est["estimate"]) <= 0.15
+    res = empirical_privacy_estimate(mech, 0.4, 0.4, samples=200_000,
+                                     rng=np.random.default_rng(8))
+    assert res.passed
+    assert abs(res.worst_margin) <= res.witness["resolution"]
 
 
 def test_empirical_estimate_bounded_by_epsilon_when_calibrated():
     domain = OutputDomain(0.0, 1.0, 0.5)
     mech = calibrated(domain)
-    est = empirical_privacy_estimate(mech, 0.0, 0.5, samples=1_000_000,
-                                     rng=np.random.default_rng(15)).witness
-    assert est["reliable"]
-    assert est["estimate"] <= BUDGET.epsilon + 0.05
+    res = empirical_privacy_estimate(mech, 0.0, 0.5, samples=1_000_000,
+                                     rng=np.random.default_rng(15))
+    assert res.passed
+    assert abs(res.worst_margin) <= res.witness["resolution"]
+    assert res.witness["samples"] == 1_000_000
 
 
 def test_empirical_estimate_catches_miscalibration():
     domain = OutputDomain(0.0, 1.0, 0.5)
     b_bad = baseline_scale(domain, BUDGET) / 2.0
     mech = CalibratedMechanism(domain, BUDGET, b_bad)
-    est = empirical_privacy_estimate(mech, 0.0, 0.5, samples=1_000_000,
-                                     rng=np.random.default_rng(23)).witness
-    # pointwise analytic oracle for the worst log density ratio
-    xs = np.linspace(0.0, 1.0, 4001)
-    oracle = np.max(np.log(mech.pdf(0.0, xs)) - np.log(mech.pdf(0.5, xs)))
-    assert est["estimate"] > BUDGET.epsilon + 0.2
-    assert est["estimate"] == pytest.approx(oracle, abs=0.15)
+    res = empirical_privacy_estimate(mech, 0.0, 0.5, samples=1_000_000,
+                                     rng=np.random.default_rng(23))
+    assert not res.passed
+    closed = _assert_near_closed_form(res, mech, 0.0, 0.5)
+    assert closed > 2.0 * res.witness["resolution"]
+    lower, t = res.witness["set"]
+    assert lower == 0.0 < t < 0.5
 
 
 def test_empirical_estimate_flags_unreliable_runs():
+    # no margin can reach 100 draws' resolution: e^-eps (P_q(A) - delta) is
+    # at most e^-eps
     domain = OutputDomain(0.0, 1.0, 0.5)
-    mech = calibrated(domain)
-    est = empirical_privacy_estimate(mech, 0.0, 0.5, samples=100,
-                                     rng=np.random.default_rng(4)).witness
-    assert not est["reliable"]
+    mech = CalibratedMechanism(domain, BUDGET, baseline_scale(domain, BUDGET) / 2.0)
+    res = empirical_privacy_estimate(mech, 0.0, 0.5, samples=100,
+                                     rng=np.random.default_rng(4))
+    assert res.passed
+    assert res.worst_margin <= math.exp(-BUDGET.epsilon) < res.witness["resolution"]
+    eta = math.sqrt(math.log(2.0 / verification.EMPIRICAL_FALSE_ALARM) / 200.0)
+    assert res.witness["resolution"] == (1.0 + math.exp(-BUDGET.epsilon)) * eta
+
+
+def test_empirical_estimate_passes_calibrated_scales_at_any_delta():
+    # delta up to 0.5; the check tests (eps, delta)-privacy, not a log ratio
+    # against eps
+    rng = np.random.default_rng(11)
+    for k in range(40):
+        domain, budget = random_problem(rng, eps_range=(0.05, 5.0))
+        mech = calibrated(domain, budget)
+        res = empirical_privacy_estimate(mech, *domain.worst_case_pair(), samples=200_000,
+                                         rng=np.random.default_rng(k))
+        assert res.passed, (domain, budget, res)
+
+
+@pytest.mark.parametrize("domain, budget", [
+    (OutputDomain(0.0, 1.0, 0.5), BUDGET),
+    (OutputDomain(0.0, 1.0, 0.02), BUDGET),
+    (OutputDomain(0.0, 1.0, 0.5), PrivacyBudget(1.0, 0.1)),
+    (OutputDomain(-3.0, 5.0, 2.0), PrivacyBudget(3.0, 0.0)),
+    (FAR_DOMAIN, FAR_BUDGET),
+])
+@pytest.mark.parametrize("at", ["b0", "b_star"])
+def test_empirical_margin_matches_closed_form(domain, budget, at):
+    scale = baseline_scale(domain, budget) if at == "b0" else calibrate(domain, budget).b_star
+    mech = CalibratedMechanism(domain, budget, scale)
+    q, q_prime = domain.worst_case_pair()
+    for pair in ((q, q_prime), (q_prime, q)):  # lower sets, then upper sets
+        res = empirical_privacy_estimate(mech, *pair, samples=200_000,
+                                         rng=np.random.default_rng(31))
+        _assert_near_closed_form(res, mech, *pair)
+
+
+def test_empirical_estimate_refuses_nothing_at_huge_epsilon(recwarn):
+    budget = PrivacyBudget(1000.0, 0.0)
+    mech = calibrated(OutputDomain(0.0, 1.0, 0.5), budget)
+    res = empirical_privacy_estimate(mech, 0.0, 0.5, samples=1_000,
+                                     rng=np.random.default_rng(2))
+    assert res.passed and math.isfinite(res.worst_margin)
+    assert not recwarn.list
 
 
 def test_empirical_estimate_rejects_distant_pair():
@@ -651,7 +706,8 @@ def test_empirical_estimate_blocks_match_one_shot_draws(domain, budget, samples,
                                                         monkeypatch):
     mech = calibrated(domain, budget)
     q, q_prime = domain.worst_case_pair()
-    edges = np.linspace(domain.lower, domain.upper, 51)
+    # the check's edges for q < q': the set grid less the lower edge
+    edges = mech.quantile(q, np.arange(1, SCAN_GRID) / (SCAN_GRID - 1))
     want = reference_empirical_counts(mech, q, q_prime, np.random.default_rng(5),
                                       samples, edges)
     rng = np.random.default_rng(5)
@@ -659,16 +715,15 @@ def test_empirical_estimate_blocks_match_one_shot_draws(domain, budget, samples,
            _sampled_counts(mech, q_prime, rng, samples, edges))
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
-    assert int(want[0].sum()) == samples
-
+        assert g[-1] == samples
     est = empirical_privacy_estimate(mech, q, q_prime, samples=samples,
                                      rng=np.random.default_rng(5))
-    # the same estimate, computed from the one-shot counts
+    # the same check, computed from the one-shot counts
     replay = iter(want)
     monkeypatch.setattr(verification, "_sampled_counts", lambda *args: next(replay))
     ref = empirical_privacy_estimate(mech, q, q_prime, samples=samples,
                                      rng=np.random.default_rng(5))
-    assert repr(est) == repr(ref)  # repr: NaN estimates compare equal too
+    assert est == ref
 
 
 @pytest.mark.parametrize("domain, scale, q", [
@@ -677,14 +732,15 @@ def test_empirical_estimate_blocks_match_one_shot_draws(domain, budget, samples,
     (OutputDomain(0.0, 1.0, 0.5), 1e-3, 0.4),   # width above 700 scales: log form
 ])
 def test_sampled_counts_equal_histogram_of_sample_inverse(domain, scale, q):
-    # a partial block follows two full ones, so a stale tail of the scratch
-    # that sample_inverse reuses across blocks would be counted
+    # the cumulative histogram of one sample_inverse call; a partial block
+    # follows two full ones, so a stale tail of the scratch that
+    # sample_inverse reuses across blocks would be counted
     mech = CalibratedMechanism(domain, BUDGET, scale)
     samples = 2 * mechanism.BLOCK + 123
-    edges = np.linspace(domain.lower, domain.upper, 51)
+    edges = mech.quantile(q, np.arange(51) / 50)
     got = _sampled_counts(mech, q, np.random.default_rng(17), samples, edges)
     draws = mech.sample_inverse(q, np.random.default_rng(17), size=samples)
-    want = np.histogram(draws, edges)[0]
+    want = counts_at_or_below(draws, edges)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     below = np.count_nonzero(draws < q)
     assert (below == 0) if q == domain.lower else (0 < below < samples)
@@ -709,8 +765,9 @@ class _ReplaySampler:
 @pytest.mark.parametrize("domain", [OutputDomain(0.0, 1.0, 0.5), FAR_DOMAIN])
 def test_sampled_counts_match_histogram_on_exact_edges(domain):
     # every edge, its neighbouring doubles inside the domain and the domain
-    # edges themselves, so each bin's closed or open end decides some counts;
-    # about 70,000 values, so a block boundary falls among them
+    # edges themselves, so counting a value equal to an edge as at or below
+    # it decides some counts; about 70,000 values, so a block boundary falls
+    # among them
     edges = np.linspace(domain.lower, domain.upper, 51)
     below = np.nextafter(edges, -np.inf)
     above = np.nextafter(edges, np.inf)
@@ -721,9 +778,10 @@ def test_sampled_counts_match_histogram_on_exact_edges(domain):
     np.random.default_rng(3).shuffle(values)
     stub = _ReplaySampler(values)
     got = _sampled_counts(stub, domain.lower, None, values.size, edges)
-    want = np.histogram(values, edges)[0]
+    want = counts_at_or_below(values, edges)
     assert stub.served == values.size > mechanism.BLOCK
     assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got[0] == 5_000 + 400 and got[-1] == values.size
 
 
 def test_empirical_estimate_memory_does_not_grow_with_samples():
