@@ -7,7 +7,7 @@ normalizing constant, the density/CDF/quantile triple and the samplers; the
 noise-scale search lives in :mod:`bounded_laplace.calibration`.
 
 One closed-form core gives every mass: ``C(q)`` (:func:`_normalizer`), the
-log ratio ``log C(lower + sensitivity) / C(lower)`` (:func:`_log_ratio`) and
+log ratios (:func:`_log_shift_ratio`, :func:`_log_ratio` in long double) and
 the tail masses of ``cdf`` and their inverse in ``quantile``.  Each is a sum
 or product of same-sign ``exp``/``expm1`` terms, so nothing cancels; tests
 hold them to an mpmath oracle for scale/width ratios from 1e-9 to 1e12.
@@ -146,6 +146,19 @@ def _normalizer(domain, q, b):
 def _inside_mass(left, right, b):
     """Mass of Laplace(0, b) on [-left, right]: two half masses, each through expm1."""
     return -0.5 * (np.expm1(-left / b) + np.expm1(-right / b))
+
+
+def _log_shift_ratio(w, b, a, z):
+    """``log(C(q + z) / C(q))`` for ``a = q - lower`` on a domain of width w.
+
+    With ``c = w - a - z``, ``C(q + z) - C(q) = expm1(-z/b) (e^{-c/b} -
+    e^{-a/b}) / 2``, the last factor formed from ``e^{-min(a, c)/b}``, so
+    nothing cancels or overflows; it is exactly 0 where z = 0 or a = c.
+    """
+    c = np.maximum(w - a - z, 0.0)  # q + z lies in the domain: c < 0 is rounding
+    gap = a - c
+    diff = np.sign(gap) * np.exp(-np.minimum(a, c) / b) * -np.expm1(-np.abs(gap) / b)
+    return -np.log1p(-0.5 * np.expm1(-z / b) * diff / _inside_mass(a + z, c, b))
 
 
 def _log_ratio(domain, b):

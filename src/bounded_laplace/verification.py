@@ -1,7 +1,7 @@
 """Numerical certification of the privacy guarantee and its supporting claims.
 
-The headline check scans the differential-privacy inequality over query
-pairs q < q' exactly one sensitivity apart and lower output sets; the
+The headline check tests the differential-privacy inequality on query
+pairs q < q' exactly one sensitivity apart at their worst output sets; the
 remaining checks validate the scalar sufficient condition through
 ``achieved_epsilon``, the monotonicity facts behind the worst-case pair
 location (on offsets from the lower edge, so every translate of a domain
@@ -11,30 +11,28 @@ sample the worst-case pair.  Every check returns a ``CheckResult``; a
 failing check is a report outcome, never an exception.
 
 Scope caveat: the privacy guarantee quantifies over all measurable output
-sets and all query pairs, while the grid check searches lower sets
-``[lower, t]`` for q < q' at finite resolution.  They lose nothing: the
-likelihood ratio of two queries is monotone in the output, so the worst set
-is a lower interval for q < q', and the mirror x -> lower + upper - x maps
-every pair q > q' with its worst set, an upper interval, onto one of these.
-Each grid query q is paired with ``min(q + sensitivity, upper)``, moved one
-ulp toward q if rounding puts it out of reach: on a lower set the violation
+sets and all query pairs, while the grid check tests each pair q < q' of a
+finite query grid on its worst set, the lower interval ``[lower, t]`` that
+``_kernels`` solves for; the mirror x -> lower + upper - x maps every pair
+q > q' with its worst set, an upper interval, onto one of these.  Each grid
+query q is paired with ``min(q + sensitivity, upper)``, moved one ulp
+toward q if rounding puts it out of reach: on a lower set the violation
 grows with q', so the farthest admissible partner is the worst.  The
 empirical check admits exactly the pairs with ``|q - q'| <= sensitivity``,
-and its worst-case pair is placed by the same rule.  Each q has its own set
-grid, the quantiles of q's law at equal steps of probability, so the grid
-follows the law however small the sensitivity or the scale is against the
-width.  The grid check is a sound falsifier: any witness it reports is a
-real violation, up to the rounding of the closed-form masses; a pass is
-evidence at the grid's resolution, not a proof.
+and its worst-case pair is placed by the same rule.  The grid check is a
+sound falsifier: any witness it reports is a real violation, up to the
+rounding of the closed-form masses; queries between grid points are not
+scanned, so a pass is evidence at the query grid's resolution, not a proof.
 
-The empirical check tests the same inequality on the same sets with sampled
-frequencies, so it also tests the sampler as run.  Its one allowance is the
-DKW bound with Massart's constant: each sampled CDF strays from its law by
-more than sqrt(ln(2 / alpha) / (2 samples)) on the side that raises the
-margin with probability at most alpha / 2, so a private mechanism fails
-with probability at most alpha = ``EMPIRICAL_FALSE_ALARM``.  A FAIL is a
-violation at that confidence; excesses below the resolution in its witness
-cannot be told from noise, and one above twice it fails w.p. >= 1 - alpha.
+The empirical check tests the same inequality with sampled frequencies on
+sets that end at q's quantiles, so it also tests the sampler as run.  Its
+one allowance is the DKW bound with Massart's constant: each sampled CDF
+strays from its law by more than sqrt(ln(2 / alpha) / (2 samples)) on the
+side that raises the margin with probability at most alpha / 2, so a
+private mechanism fails with probability at most alpha =
+``EMPIRICAL_FALSE_ALARM``.  A FAIL is a violation at that confidence;
+excesses below the resolution in its witness cannot be told from noise,
+and one above twice it fails w.p. >= 1 - alpha.
 
 Grid sizes and the sample count are plain ints defaulting to ``SCAN_GRID``
 and ``EMPIRICAL_SAMPLES``, as the CLI's flags do; all else is a constant.
@@ -51,7 +49,8 @@ import numpy as np
 
 from ._kernels import worst_interval_margin
 from .calibration import achieved_epsilon, baseline_scale, calibrate, fixed_point_operator
-from .mechanism import (BLOCK, CalibratedMechanism, _inside_mass, _partner,
+from .errors import CalibrationInfeasibleError
+from .mechanism import (BLOCK, CalibratedMechanism, _log_shift_ratio, _partner,
                         _require_scale, normalizer_ratio)
 
 __all__ = [
@@ -65,7 +64,7 @@ __all__ = [
     "run_all_checks",
 ]
 
-# Points of the privacy scan's query grid and of its output-set grid.
+# Points of the privacy scan's query grid and of the empirical check's set grid.
 SCAN_GRID = 200
 # Slack on the privacy inequality, added to delta; absorbs the rounding of
 # the closed-form masses.  It also caps the sufficient condition's allowance.
@@ -120,53 +119,39 @@ class VerificationReport:
         }
 
 
-def _scan_grid(mech, q_grid, set_grid):
-    """The tables of the privacy scan.
-
-    Queries ``qs`` form a ``q_grid`` linspace of the domain, and each is
-    paired with ``mechanism._partner``, the farthest query at most one
-    sensitivity above it; a pair with q' == q is dropped.  Query ``qs[r]``
-    has its own set grid ``xs[r, k] = quantile(qs[r], k / (set_grid - 1))``,
-    equal-mass under ``qs[r]`` with the domain edges at both ends.  Returns
-    ``(q, q_prime, xs, rows_q, rows_q_prime)``, one row per pair, with
-    ``rows_q = F_q`` and ``rows_q_prime = F_{q'}`` at the pair's grid points.
-    """
-    if q_grid < 2 or set_grid < 2:
+def _scan_grid(mech, q_grid):
+    """The scan's pairs ``(qs, partners)``: each q of a ``q_grid`` linspace of
+    the domain with ``mechanism._partner(q)``, the farthest query at most one
+    sensitivity above it, and a pair with q' == q dropped."""
+    if q_grid < 2:
         raise ValueError("grid sizes must be at least 2")
     d = mech.domain
     qs = np.linspace(d.lower, d.upper, q_grid)
     partners = _partner(d, qs)
     kept = partners != qs
-    qs, partners = qs[kept], partners[kept]
-    xs = mech.quantile(qs[:, None], np.arange(set_grid) / (set_grid - 1))
-    return qs, partners, xs, mech.cdf(qs[:, None], xs), mech.cdf(partners[:, None], xs)
+    return qs[kept], partners[kept]
 
 
-def check_privacy_inequality(mech, q_grid: int = SCAN_GRID,
-                             set_grid: int = SCAN_GRID) -> CheckResult:
-    """Scan the DP inequality over pairs q < q' = q + sensitivity and lower sets.
+def check_privacy_inequality(mech, q_grid: int = SCAN_GRID) -> CheckResult:
+    """Test the DP inequality on pairs q < q' = q + sensitivity at each one's worst set.
 
-    Queries form a ``q_grid`` grid, and each is paired with the query one
-    sensitivity above it, clipped to the domain.  Output sets are the lower
-    sets ``[lower, t]`` of each query's own ``set_grid``-point equal-mass
-    grid (see ``_scan_grid``).  For every pair (q, q') and such set A it
-    asserts ``P(W_q in A) - e^eps * P(W_q' in A) <= delta + PRIVACY_SLACK``
-    using closed-form CDFs for the set probabilities.  The worst margin and
-    the point achieving it are recorded either way; ties go to the first
-    pair, then to the smallest set.
+    Queries form a ``q_grid`` grid, each paired with the query one
+    sensitivity above it, clipped to the domain (see ``_scan_grid``).  For
+    each pair it asserts ``P(W_q in A) - e^eps * P(W_q' in A) <= delta +
+    PRIVACY_SLACK`` on the worst set A, solved in closed form by
+    ``_kernels.worst_interval_margin``.  The worst margin, its pair and set
+    are recorded either way; ties go to the first pair, then the smallest set.
 
     These pairs and sets suffice (see the module docstring), and they are
-    the accurate side of the mirror: from CDF tables an upper set's margin
-    is ``(1 - e^eps) - (F_q(t) - e^eps F_q'(t))``, a difference of two terms
-    of size e^eps that rounds to a multiple of ulp(e^eps), while a lower
-    set's is ``F_q(t) - e^eps F_q'(t)`` itself, whose terms are
-    probabilities wherever it nears 0.  When rounding leaves no pair with
-    q' != q, no two grid queries can be told apart and the check passes with
-    a margin of -inf and no witness pair.
+    the accurate side of the mirror: an upper set's margin
+    ``(1 - e^eps) - (F_q(t) - e^eps F_q'(t))`` rounds to a multiple of
+    ulp(e^eps), while a lower set's terms are probabilities wherever it
+    nears 0.  When rounding leaves no pair with q' != q, the check passes
+    with a margin of -inf and no witness pair.
 
     For eps above log(DBL_MAX) it refuses before any CDF is evaluated, and
     fails with a NaN margin and the refusal in its witness: e^eps is then not
-    a finite double, and CDF entries far from q' underflow to 0, so no clamped
+    a finite double, and CDF values far from q' underflow to 0, so no clamped
     e^eps is sound.  Raises ``ValueError`` for a grid below 2 points.
     """
     budget = mech.budget
@@ -176,13 +161,12 @@ def check_privacy_inequality(mech, q_grid: int = SCAN_GRID,
                    f"{budget.epsilon} exceeds log(DBL_MAX) = {eps_limit}")
         return CheckResult("privacy_inequality", False, math.nan,
                            {"refused": refusal, "scale": float(mech.scale)})
-    amp = math.exp(budget.epsilon)
-    qs, partners, xs, rows_q, rows_q_prime = _scan_grid(mech, q_grid, set_grid)
+    qs, partners = _scan_grid(mech, q_grid)
     raw, q, q_prime, intervals = -math.inf, None, None, []
     if qs.size:
-        raw, p, j = worst_interval_margin(rows_q, rows_q_prime, amp)
+        raw, p, t = worst_interval_margin(mech, qs, partners)
         q, q_prime = float(qs[p]), float(partners[p])
-        intervals = [[float(xs[p, 0]), float(xs[p, j])]]
+        intervals = [[float(mech.domain.lower), t]]
     margin = raw - budget.delta
     witness = {"q": q, "q_prime": q_prime, "intervals": intervals,
                "scale": float(mech.scale)}
@@ -209,15 +193,9 @@ def check_sufficient_condition(mech) -> CheckResult:
 
 
 def _log_loss(w, b, t, z):
-    """log of (C(t+z)/C(t)) * e^(z/b), broadcast over t and z, with C(t) the
-    mass of Laplace(0, b) on [-t, w - t]: t is an offset from the lower edge.
-
-    The log stays finite where e^(z/b) would overflow, and keeps the signs
-    of the slopes.
-    """
-    left = t + z
-    return (np.log(_inside_mass(left, w - left, b)) - np.log(_inside_mass(t, w - t, b))
-            + z / b)
+    """log of (C(t+z)/C(t)) * e^(z/b) for offsets t from the lower edge,
+    broadcast over t and z; finite where e^(z/b) would overflow."""
+    return _log_shift_ratio(w, b, t, z) + z / b
 
 
 def check_ratio_monotonicity(domain, b) -> CheckResult:
@@ -263,25 +241,27 @@ def check_fixed_point_properties(domain, budget) -> CheckResult:
     map and the normalizer ratio are nonincreasing in the scale along a
     log-spaced grid of scales from just above b0 to 100 b0, and that the
     ratio at the baseline scale stays below e^eps / (1 - delta) so the update
-    is well defined.
+    is well defined; an update undefined in double fails it with a NaN margin.
     """
     b0 = baseline_scale(domain, budget)
-    f_of_b0 = fixed_point_operator(domain, budget, b0)
-    rel_gap = (f_of_b0 - b0) / b0
-    spans = domain.sensitivity >= domain.width * (1.0 - 1e-12)
-
     # the grid starts 2 steps above b0, so no difference reaches below b0,
     # where the update can be undefined
     bs = np.geomspace(b0 * (1.0 + 2.0 * FD_STEP), 100.0 * b0, FIXED_POINT_GRID)
     f_slopes = np.empty(bs.size)
     ratio_slopes = np.empty(bs.size)
-    for k, b in enumerate(bs):
-        h = FD_STEP * b
-        f_slopes[k] = (fixed_point_operator(domain, budget, b + h)
-                       - fixed_point_operator(domain, budget, b - h)) / (2.0 * h)
-        # scaled by b so the margin is dimensionless like the others
-        ratio_slopes[k] = b * (normalizer_ratio(domain, b + h)
-                               - normalizer_ratio(domain, b - h)) / (2.0 * h)
+    try:
+        f_of_b0 = fixed_point_operator(domain, budget, b0)
+        for k, b in enumerate(bs):
+            h = FD_STEP * b
+            f_slopes[k] = (fixed_point_operator(domain, budget, b + h)
+                           - fixed_point_operator(domain, budget, b - h)) / (2.0 * h)
+            # scaled by b so the margin is dimensionless like the others
+            ratio_slopes[k] = b * (normalizer_ratio(domain, b + h)
+                                   - normalizer_ratio(domain, b - h)) / (2.0 * h)
+    except CalibrationInfeasibleError as exc:
+        return CheckResult("fixed_point_properties", False, math.nan, {"refused": str(exc)})
+    rel_gap = (f_of_b0 - b0) / b0
+    spans = domain.sensitivity >= domain.width * (1.0 - 1e-12)
     # Written as -sensitivity/f(b0) so the sign cannot be lost to rounding.
     headroom = -domain.sensitivity / f_of_b0
 
@@ -322,13 +302,14 @@ def _sampled_counts(mech, q, rng, samples, edges):
 
 
 def empirical_privacy_estimate(mech, q, q_prime, samples: int = EMPIRICAL_SAMPLES,
-                               rng=None) -> CheckResult:
+                               rng=None, set_grid: int = SCAN_GRID) -> CheckResult:
     """The grid check's inequality on sampled CDFs (see the module docstring).
 
     Draws ``samples`` outputs for each of q and q' by ``mech.sample_inverse``,
     the sampler users call, and counts them at the edges t of q's
-    ``SCAN_GRID``-point set grid.  The sets are ``[lower, t]`` when q <= q'
-    and ``(t, upper]`` when q > q', the null set left out.  The margin is the
+    ``set_grid``-point equal-mass grid (from lower to upper).  The sets are
+    ``[lower, t]`` when q <= q' and ``(t, upper]`` when q > q', the null set
+    left out; a grid below 2 points raises ``ValueError``.  The margin is the
     largest ``e^-eps (P_q(A) - delta) - P_q'(A)`` with sampled frequencies
     for P: the grid check's margin times e^-eps, in units of probability
     under q', finite at any eps.  It passes iff the margin is at most
@@ -345,12 +326,14 @@ def empirical_privacy_estimate(mech, q, q_prime, samples: int = EMPIRICAL_SAMPLE
         raise ValueError("q and q_prime must be within one sensitivity of each other")
     if samples < 1:
         raise ValueError("samples must be positive")
+    if set_grid < 2:
+        raise ValueError("grid sizes must be at least 2")
     if rng is None:
         rng = np.random.default_rng()
     lower_sets = q <= q_prime
     # the set grid less its null set, [lower, lower] or (upper, upper]
-    ks = np.arange(1, SCAN_GRID) if lower_sets else np.arange(SCAN_GRID - 1)
-    edges = mech.quantile(q, ks / (SCAN_GRID - 1))
+    ks = np.arange(1, set_grid) if lower_sets else np.arange(set_grid - 1)
+    edges = mech.quantile(q, ks / (set_grid - 1))
     cdf_q = _sampled_counts(mech, q, rng, samples, edges) / samples
     cdf_p = _sampled_counts(mech, q_prime, rng, samples, edges) / samples
     if not lower_sets:  # the masses of the upper sets (t, upper]
@@ -381,18 +364,21 @@ def run_all_checks(domain, budget, scale=None, q_grid: int = SCAN_GRID,
 
     ``scale=None`` checks ``calibrate(domain, budget).b_star``, as ``sample``
     draws at; the baseline scale instead reproduces the non-guarantee.  The
-    report records the scale checked.  ``q_grid`` and ``set_grid`` size the
-    grid check.  ``samples=0`` skips the empirical estimate, which runs on
-    the worst-case pair.
+    report records the scale checked.  ``q_grid`` sizes the grid check and
+    ``set_grid`` the empirical one, which runs on the worst-case pair unless
+    ``samples=0``; both grids are validated either way.
     """
+    if set_grid < 2:
+        raise ValueError("grid sizes must be at least 2")
     mech = _mechanism_at(domain, budget, scale)
     checks = [
-        check_privacy_inequality(mech, q_grid, set_grid),
+        check_privacy_inequality(mech, q_grid),
         check_sufficient_condition(mech),
         check_ratio_monotonicity(domain, mech.scale),
         check_fixed_point_properties(domain, budget),
     ]
     if samples:
         checks.append(empirical_privacy_estimate(mech, *domain.worst_case_pair(),
-                                                 samples=samples, rng=rng))
+                                                 samples=samples, rng=rng,
+                                                 set_grid=set_grid))
     return VerificationReport(tuple(checks), mech.scale)

@@ -235,6 +235,57 @@ def all_pairs_uniform_scan(mech, q_grid, set_grid):
     return best - mech.budget.delta
 
 
+def mp_pair_delta(mech, q, q_prime):
+    """Exact delta of the pair q < q' at 80 digits: the sup over the lower
+    sets ``[lower, t]`` of ``F_q(t) - e^eps F_q'(t)``, and a t attaining it.
+
+    The sup lies at lower, at q or q', or where ``p_q - e^eps p_q'`` changes
+    sign inside (q, q'); that point is found by bisection on the sign of the
+    log density ratio, not from the grid check's closed form.
+    """
+    d, eps = mech.domain, mech.budget.epsilon
+    with mpmath.workdps(80):
+        lo, hi, q, qp, b = (mpmath.mpf(v) for v in (d.lower, d.upper, q, q_prime, mech.scale))
+        c, cp, amp = _mp_mass(q, b, lo, hi), _mp_mass(qp, b, lo, hi), mpmath.exp(eps)
+        log_ratio = mpmath.log(cp / c) - eps
+        ts = [lo, q, qp]
+        a, z = q, qp
+        # the density ratio falls across (q, q'); 2**-100 of z puts t far
+        # closer than 80 digits resolve the margin, which is flat at its sup
+        for _ in range(100):
+            m = (a + z) / 2
+            a, z = (m, z) if (qp + q - 2 * m) / b + log_ratio > 0 else (a, m)
+        ts.append(a)
+        return max((_mp_mass(q, b, lo, t) / c - amp * _mp_mass(qp, b, lo, t) / cp, t)
+                   for t in ts)
+
+
+def set_grid_tables(mech, qs, partners, set_grid):
+    """The grid check's CDF tables before its worst set had a closed form.
+
+    Query ``qs[r]`` has the set grid ``xs[r, k] = quantile(qs[r], k / (set_grid
+    - 1))``, equal-mass under ``qs[r]`` with the domain edges at both ends.
+    Returns ``(rows_q, rows_q_prime)``, one row per pair, with ``rows_q =
+    F_q`` and ``rows_q_prime = F_{q'}`` at the pair's grid points.
+    """
+    xs = mech.quantile(qs[:, None], np.arange(set_grid) / (set_grid - 1))
+    return mech.cdf(qs[:, None], xs), mech.cdf(partners[:, None], xs)
+
+
+def table_worst_margin(rows_q, rows_q_prime, amp):
+    """Oracle: the grid check's search before its worst set had a closed form.
+
+    The largest ``F_q(x_j) - amp * F_q'(x_j)`` over the pairs and the grid
+    points j >= 1 of the tables of :func:`set_grid_tables`: with ``x_0`` the
+    lower edge, where both CDFs are 0, each entry is the margin of the lower
+    set ``[x_0, x_j]``.  Returns ``(margin, pair_index, j)``; ties go to the
+    first pair, then to the first j.
+    """
+    d = rows_q[:, 1:] - amp * rows_q_prime[:, 1:]
+    p, k = divmod(int(np.argmax(d)), d.shape[1])
+    return float(d[p, k]), p, k + 1
+
+
 def two_interval_margin(rows_q, rows_q_prime, amp):
     """Oracle: the best ``P_q(A) - amp * P_q'(A)`` over unions ``A`` of two
     disjoint grid intervals, and the first pair attaining it.

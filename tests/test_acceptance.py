@@ -86,7 +86,7 @@ def test_criterion_2_fixed_point_correctness():
 
 
 def test_criterion_3_non_guarantee_reproduction():
-    grids = {"q_grid": 200, "set_grid": 200}
+    grids = {"q_grid": 200}
     budget = PrivacyBudget(1.0, 0.0)
     failures = []
     t0 = time.perf_counter()

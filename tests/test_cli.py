@@ -4,12 +4,13 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 from bounded_laplace import OutputDomain, PrivacyBudget, calibrate
 from bounded_laplace.cli import build_parser, main
-from bounded_laplace.verification import EMPIRICAL_SAMPLES, SCAN_GRID
+from bounded_laplace.verification import EMPIRICAL_SAMPLES, PRIVACY_SLACK, SCAN_GRID
 
 
 BASE = ["--epsilon", "1", "--delta", "0", "--lower", "0", "--upper", "1"]
@@ -224,7 +225,9 @@ def test_verify_passes_on_narrow_domain_at_large_epsilon(capsys):
 def test_verify_large_epsilon_grid_witness_is_the_worst_pair(problem, pair, capsys):
     # b_star is private.  Upper sets' margins, differences of two terms of
     # size e^eps, read 2**-9 at eps = 30 and failed it, and at eps = 50 tied
-    # at 0 on a set that names no near-violation; lower sets keep the margin
+    # at 0 on a set that names no near-violation; lower sets keep the margin.
+    # The worst set of the worst pair is empty or a few ulps wide, so the
+    # margin reads 0 up to rounding
     code, out, err = run_cli(["verify", *problem, "--samples", "0", "--format", "json"],
                              capsys)
     assert (code, err) == (0, "")
@@ -232,7 +235,7 @@ def test_verify_large_epsilon_grid_witness_is_the_worst_pair(problem, pair, caps
     assert grid["name"] == "privacy_inequality" and grid["passed"]
     assert [grid["witness"]["q"], grid["witness"]["q_prime"]] == pair
     assert grid["witness"]["intervals"][0][0] == 0.0
-    assert -1e-4 < grid["worst_margin"] < 0.0
+    assert -1e-4 < grid["worst_margin"] <= PRIVACY_SLACK
 
 
 @pytest.mark.parametrize("scale", [[], ["--b", "10"]], ids=["b_star", "b10"])
@@ -264,6 +267,55 @@ def test_verify_grid_below_two_is_typed_error(flag, capsys):
         ["verify", *BASE, "--sensitivity", "0.5", "--samples", "0", flag, "1"], capsys)
     assert (code, out) == (2, "")
     assert "grid sizes must be at least 2" in err
+
+
+def test_verify_grid_check_fails_a_violation_between_set_grid_points(capsys):
+    # b lies between b0 and b_star; the worst set of the pair (0, 1e-4) ends
+    # 6.6e-6 above 0, inside the first cell of the set grid that the grid
+    # check searched before, which passed this scale at margin -6.7e-6
+    code, out, err = run_cli(
+        ["verify", "--epsilon", "0.01", "--lower", "0", "--upper", "1",
+         "--sensitivity", "1e-4", "--b", "0.018618772997733554", "--samples", "0",
+         "--format", "json"], capsys)
+    assert (code, err) == (1, "")
+    grid = json.loads(out)["checks"][0]
+    assert grid["name"] == "privacy_inequality" and not grid["passed"]
+    assert [grid["witness"]["q"], grid["witness"]["q_prime"]] == [0.0, 1e-4]
+    assert 1e-7 < grid["worst_margin"] < 2e-7
+
+
+def test_verify_reports_finite_margins_far_below_the_width(capsys):
+    # at b = 1e-20 the log normalizers' difference was NaN and warned twice;
+    # the log ratio is now one cancellation-free log1p
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            ["verify", "--epsilon", "1", "--lower", "0", "--upper", "1",
+             "--sensitivity", "0.5", "--b", "1e-20", "--samples", "0", "--format", "json"],
+            capsys)
+    assert (code, err) == (1, "")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert all(c["worst_margin"] is not None for c in checks.values()), checks
+    assert checks["ratio_monotonicity"]["passed"]
+    assert not checks["privacy_inequality"]["passed"]
+    assert checks["privacy_inequality"]["worst_margin"] == 1.0
+
+
+def test_verify_reports_an_undefined_fixed_point_update(capsys):
+    # b = 2 is the exact fixed point here, but at b0 = 1 the exponent budget
+    # rounds to 0, so the update is undefined: the fixed-point check fails
+    # and the other checks still report
+    code, out, err = run_cli(
+        ["verify", "--epsilon", "1e-100", "--lower", "0", "--upper", "1",
+         "--sensitivity", "1e-100", "--b", "2", "--samples", "0"], capsys)
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "privacy_inequality", "sufficient_condition", "ratio_monotonicity",
+        "fixed_point_properties", "overall"]
+    assert all(": PASS " in line for line in lines[:3]), lines
+    assert lines[3].startswith("fixed_point_properties: FAIL worst_margin=nan witness=")
+    assert "fixed-point update undefined at scale 1.0" in lines[3]
 
 
 def test_verify_fails_sufficient_condition_at_small_epsilon(capsys):
@@ -414,9 +466,9 @@ PINNED = ["--epsilon", "1", "--lower", "0", "--upper", "1", "--sensitivity", "0.
 # updates them and says so in CHANGES.md.
 @pytest.mark.parametrize("argv, code, digest", [
     (["verify", *PINNED, "--seed", "7", "--format", "json"], 0,
-     "b49963579925146489f48fd0b53a1720964b3fbccfa86b961417b0f9805631bd"),
+     "6f97c7cf5a7c25662398beb4c4e532381641dcc3e9d73f7e38b08edefb0338a1"),
     (["verify", *PINNED, "--b", "0.5", "--seed", "7", "--format", "json"], 1,
-     "b829e18ced6b265eaa9b13f1b64fc1edf71faea8d7ebf9c9195b8c5c85067fb9"),
+     "78068c673bfca7ad8ad434b8da4d2b1494dc763d84b1ff2fe3614395cbc48986"),
     (["sample", *PINNED, "--q", "0.3", "--n", "100000", "--seed", "42",
       "--sampler", "inverse"], 0,
      "6cae4c880ec85368a42d153c91cd1aed582481424e49e076f4d8f4831438957b"),

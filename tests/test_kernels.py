@@ -4,10 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bounded_laplace import CalibratedMechanism, OutputDomain, PrivacyBudget, calibrate
+from bounded_laplace import (CalibratedMechanism, OutputDomain, PrivacyBudget,
+                             baseline_scale, calibrate)
 from bounded_laplace._kernels import worst_interval_margin
-from bounded_laplace.verification import _scan_grid
-from helpers import all_intervals_margin, brute_force_two, two_interval_margin
+from bounded_laplace.verification import PRIVACY_SLACK, _scan_grid
+from helpers import (all_intervals_margin, brute_force_two, mp_pair_delta, set_grid_tables,
+                     table_worst_margin, two_interval_margin)
 
 
 def cdf_rows(rng, n_rows, m):
@@ -26,108 +28,128 @@ def random_case(rng, n_rows=7, m=12):
     return table[pair_a], table[pair_b], amp
 
 
-def brute_force_single(rows_q, rows_q_prime, amp):
-    """Independent oracle: lower-set probabilities taken as explicit
-    differences ``F(x_j) - F(x_0)``; the first strict maximum in ``(p, j)``
-    order wins."""
-    best, where = -np.inf, None
-    for p, (fa, fb) in enumerate(zip(rows_q, rows_q_prime)):
-        for j in range(1, rows_q.shape[1]):
-            v = (fa[j] - fa[0]) - amp * (fb[j] - fb[0])
-            if v > best:
-                best, where = v, (p, j)
-    return best, where
+def scales(domain, budget, thetas):
+    # b0 (b_star / b0)^theta: b0 at 0, b_star at 1, non-private in between
+    report = calibrate(domain, budget)
+    return [report.b0 * (report.b_star / report.b0) ** th if th < 1 else report.b_star
+            for th in thetas]
 
 
-def quadratic_single(rows_q, rows_q_prime, amp):
-    """Every lower set in the float grouping ``d[j] - d[0]`` with
-    ``d = F_q - amp * F_q'``; the first strict maximum in ``(p, j)`` order
-    wins."""
-    best, where = -np.inf, None
-    for p, (fa, fb) in enumerate(zip(rows_q, rows_q_prime)):
-        d = fa - amp * fb
-        for j in range(1, len(d)):
-            if d[j] - d[0] > best:
-                best, where = d[j] - d[0], (p, j)
-    return best, where
+def problems(domains, fracs, epsilons, thetas):
+    for lower, upper in domains:
+        for frac in fracs:
+            domain = OutputDomain(lower, upper, frac * (upper - lower))
+            for eps in epsilons:
+                for delta in (0.0, 1e-3):
+                    budget = PrivacyBudget(eps, delta)
+                    for b in scales(domain, budget, thetas):
+                        yield CalibratedMechanism(domain, budget, b)
 
 
-def quantised_case(rng, n_rows=5, m=8):
-    # CDF rows on multiples of 1/4 and amp in {1, 2}: every margin is exact
-    # in any float grouping, so equal margins tie exactly
-    table = np.sort(rng.integers(0, 5, (n_rows, m)), axis=1) / 4.0
-    table[:, 0] = 0.0
-    table[:, -1] = 1.0
-    pair_a, pair_b = np.nonzero(np.ones((n_rows, n_rows), dtype=bool))
-    return table[pair_a], table[pair_b], float(rng.choice([1.0, 2.0]))
+NEAR_DOMAINS = ((0.0, 1.0), (0.0, 1000.0), (-4.0, -1.0))
 
 
 def test_numpy_kernel_matches_brute_force():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        f, g, amp = random_case(rng)
-        expected, _ = brute_force_single(f, g, amp)
-        got, p, j = worst_interval_margin(f, g, amp)
-        assert got == pytest.approx(expected, abs=1e-12)
-        # oracle uses a different float grouping, so compare margins, not indices
-        assert f[p, j] - amp * g[p, j] == got
-        assert 1 <= j < f.shape[1]
+    # the exact delta of each pair, at 80 digits, is the brute-force sup over
+    # every lower set; the double margin neither misses a violation nor
+    # reports a false one, at eps up to 50, where a margin is a difference of
+    # terms of size up to e^eps times a probability
+    fails = 0
+    for mech in problems(NEAR_DOMAINS, (1e-4, 0.1, 0.5, 0.9), (1.0, 30.0, 35.0, 50.0),
+                         (0.9, 0.99, 1.0)):
+        qs, partners = _scan_grid(mech, 4)
+        margin = worst_interval_margin(mech, qs, partners)[0]
+        exact = max(float(mp_pair_delta(mech, q, q_prime)[0])
+                    for q, q_prime in zip(qs, partners))
+        delta = mech.budget.delta
+        assert (margin - delta > PRIVACY_SLACK) == (exact - delta > PRIVACY_SLACK), (
+            mech, margin, exact)
+        assert abs(margin - exact) <= 1e-9 * exact + 1e-14, (mech, margin, exact)
+        fails += exact - delta > PRIVACY_SLACK
+    assert fails > 0
 
 
-def test_numpy_kernel_matches_quadratic_scan_bitwise():
+def test_kernel_is_never_below_the_set_grid_scan():
+    # the check's search before the closed form: each query's own equal-mass
+    # set grid, and the best lower set on it; a grid set is one lower set, so
+    # the exact worst set's margin is never below it, on any domain
+    fails = 0
+    for mech in problems(NEAR_DOMAINS + ((1e6, 1e6 + 1e-3),), (1e-4, 1e-2, 0.5, 1.0),
+                         (0.01, 1.0, 5.0, 30.0, 50.0), (0.0, 0.9, 1.0)):
+        qs, partners = _scan_grid(mech, 40)
+        f, g = set_grid_tables(mech, qs, partners, 40)
+        grid = table_worst_margin(f, g, math.exp(mech.budget.epsilon))[0]
+        closed = worst_interval_margin(mech, qs, partners)[0]
+        assert closed >= grid, (mech, closed, grid)
+        fails += grid - mech.budget.delta > PRIVACY_SLACK
+    assert fails > 0
+
+
+def test_kernel_matches_per_pair_evaluation_bitwise():
+    # the pairs at once, in row order and shuffled, give the first strict
+    # maximum of the pairs taken one at a time, bit for bit
     rng = np.random.default_rng(6)
-    for _ in range(10):
-        f, g, amp = random_case(rng)
-        # pairs in row order; shuffled; and the pairs (q, q) alone, where
-        # d = (1 - amp) F_q makes every margin negative
-        same = np.flatnonzero((f == g).all(axis=1))
-        for order in (np.arange(len(f)), rng.permutation(len(f)), same):
-            best, (p, j) = quadratic_single(f[order], g[order], amp)
-            assert worst_interval_margin(f[order], g[order], amp) == (best, p, j)
+    for mech in problems(NEAR_DOMAINS, (1e-2, 0.5), (1.0, 30.0), (0.0, 0.9)):
+        qs, partners = _scan_grid(mech, 30)
+        for order in (np.arange(qs.size), rng.permutation(qs.size)):
+            best = (-math.inf, None, None)
+            for pos, k in enumerate(order):
+                margin, _, t = worst_interval_margin(mech, qs[k:k + 1], partners[k:k + 1])
+                if margin > best[0]:
+                    best = (margin, pos, t)
+            assert worst_interval_margin(mech, qs[order], partners[order]) == best
 
 
 def test_ties_resolve_to_lexicographically_first_witness():
-    # among lower sets, the first pair, then the smallest set
-    rng = np.random.default_rng(5)
-    tied_pairs = tied_sets = 0
-    for _ in range(20):
-        f, g, amp = quantised_case(rng)
-        expected, (ep, ej) = brute_force_single(f, g, amp)
-        ties = [(p, j) for p in range(len(f)) for j in range(1, f.shape[1])
-                if f[p, j] - amp * g[p, j] == expected]
-        tied_pairs += any(p != ep for p, _ in ties)
-        tied_sets += any(p == ep and j != ej for p, j in ties)
-        assert worst_interval_margin(f, g, amp) == (expected, ep, ej)
-    # the cases exercise ties both across pairs and within the winning pair
-    assert tied_pairs > 0 and tied_sets > 0
+    # above b_star every pair's worst set is empty: its end is lower, where
+    # both CDFs are exactly 0, so every margin is exactly 0 and the first
+    # pair wins at t = lower
+    for lower, upper in NEAR_DOMAINS + ((1e6, 1e6 + 1e-3),):
+        for frac in (1e-4, 0.5, 0.9):
+            domain = OutputDomain(lower, upper, frac * (upper - lower))
+            for eps in (0.01, 1.0, 50.0):
+                b = 2.0 * calibrate(domain, PrivacyBudget(eps)).b_star
+                mech = CalibratedMechanism(domain, PrivacyBudget(eps), b)
+                qs, partners = _scan_grid(mech, 50)
+                assert worst_interval_margin(mech, qs, partners) == (0.0, 0, lower)
+    # the CDFs are exactly 0 at lower at scales from 1e-9 to 1e12 widths, for
+    # queries across the domain
+    for domain in (OutputDomain(0.0, 1.0, 0.5), OutputDomain(-4.0, -1.0, 1.2),
+                   OutputDomain(-9.993759296579928, -9.784134590603939, 0.1048123529879943)):
+        qs = np.linspace(domain.lower, domain.upper, 101)
+        for ratio in 10.0 ** np.arange(-9.0, 13.0):
+            mech = CalibratedMechanism(domain, PrivacyBudget(1.0), ratio * domain.width)
+            assert not mech.cdf(qs, domain.lower).any(), (domain, ratio)
 
 
 def test_ties_across_many_pairs_resolve_to_first_pair():
-    f, g, amp = quantised_case(np.random.default_rng(8))
-    expected, (ep, ej) = brute_force_single(f, g, amp)
-    # 100,000 pairs, the same few repeated: every winning margin ties with a
-    # copy of it far down the pair axis, and the first copy must win
-    reps = 4_000
-    got = worst_interval_margin(np.tile(f, (reps, 1)), np.tile(g, (reps, 1)), amp)
-    assert got == (expected, ep, ej)
+    domain, budget = OutputDomain(0.0, 1.0, 0.1), PrivacyBudget(1.0)
+    for b in (baseline_scale(domain, budget), calibrate(domain, budget).b_star):
+        mech = CalibratedMechanism(domain, budget, b)
+        qs, partners = _scan_grid(mech, 40)
+        # 100,000 pairs, the same few repeated: every winning margin ties with
+        # a copy of it far down the pair axis, and the first copy must win
+        reps = 100_000 // qs.size + 1
+        got = worst_interval_margin(mech, np.tile(qs, reps), np.tile(partners, reps))
+        assert got == worst_interval_margin(mech, qs, partners)
 
 
 def test_numpy_scan_memory_is_linear_in_pairs():
     domain = OutputDomain(0.0, 1.0, 0.5)
     budget = PrivacyBudget(1.0, 0.0)
-    mech = CalibratedMechanism(domain, budget, calibrate(domain, budget).b_star)
-    *_, f, g = _scan_grid(mech, 200, 200)
-    assert f.shape == (199, 200)
-    for reps in (1, 4):
-        rows_q, rows_q_prime = np.tile(f, (reps, 1)), np.tile(g, (reps, 1))
+    mech = CalibratedMechanism(domain, budget, baseline_scale(domain, budget))
+    qs, partners = _scan_grid(mech, 200)
+    assert qs.size == 199
+    for reps in (1, 16):
+        q, q_prime = np.tile(qs, reps), np.tile(partners, reps)
         tracemalloc.start()
         try:
-            worst_interval_margin(rows_q, rows_q_prime, math.e)
+            worst_interval_margin(mech, q, q_prime)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the difference table, no copy of the inputs
-        assert peak < 1.5 * rows_q.nbytes
+        # a few arrays of three candidate ends per pair, nothing per set
+        assert peak < 48 * q.nbytes, (reps, peak)
 
 
 def test_two_interval_oracle_matches_brute_force():
@@ -154,12 +176,12 @@ def test_all_intervals_oracle_matches_brute_force():
 
 
 def test_kernel_input_validation():
-    row = np.array([[0.0, 1.0]])
-    for f, g in ((row, np.array([[0.0, 0.5, 1.0]])),  # unequal shapes
-                 (np.empty((0, 2)), np.empty((0, 2))),  # no pair
-                 (np.array([[0.0]]), np.array([[0.0]])),  # one grid column
-                 (np.array([0.0, 1.0]), np.array([0.0, 1.0])),  # not 2-d
-                 (np.array([[0.5, 1.0]]), row),  # F_q above 0 at x_0
-                 (row, np.array([[1e-300, 1.0]]))):  # F_q' above 0 at x_0
-        with pytest.raises(ValueError):
-            worst_interval_margin(f, g, 1.0)
+    # queries must lie in the domain: the CDFs refuse any other
+    domain = OutputDomain(0.0, 1.0, 0.5)
+    mech = CalibratedMechanism(domain, PrivacyBudget(1.0), 0.5)
+    ok = np.array([0.0, 0.25])
+    for qs, partners in ((ok, np.array([0.5, 1.25])),  # a partner above upper
+                         (np.array([-0.25, 0.25]), ok + 0.5),  # a query below lower
+                         (ok, np.array([0.5, math.nan]))):  # not a number
+        with pytest.raises(ValueError, match="query value"):
+            worst_interval_margin(mech, qs, partners)

@@ -23,7 +23,6 @@ from bounded_laplace import (
     run_all_checks,
 )
 from bounded_laplace import mechanism, verification
-from bounded_laplace._kernels import worst_interval_margin
 from bounded_laplace.verification import SCAN_GRID, _sampled_counts, _scan_grid
 from helpers import (
     all_intervals_margin,
@@ -34,12 +33,14 @@ from helpers import (
     random_problem,
     reference_empirical_counts,
     reference_sufficient_condition,
+    set_grid_tables,
+    table_worst_margin,
     two_interval_margin,
 )
 
 
 BUDGET = PrivacyBudget(1.0, 0.0)
-FAST = {"q_grid": 80, "set_grid": 80}
+FAST = {"q_grid": 80}
 # lower + sensitivity rounds at the scale of |lower| (about 10), far coarser
 # than the width's ulp, and lands a few width ulps more than one sensitivity
 # above lower, so the worst-case pair steps one ulp back
@@ -80,17 +81,18 @@ def test_privacy_holds_at_baseline_when_sensitivity_spans_domain():
 
 def test_privacy_witness_lands_near_worst_pair():
     # at the calibrated scale the witness is the paper's worst pair
-    # (lower, lower + sensitivity), and its set is a lower set of that
-    # pair's grid, short of the upper edge
+    # (lower, lower + sensitivity), and its set is a lower set that ends
+    # between the pair's queries, or the empty set [lower, lower]
     domain = OutputDomain(0.0, 1.0, 0.5)
-    mech = calibrated(domain)
-    res = check_privacy_inequality(mech, **FAST)
+    for budget in (BUDGET, PrivacyBudget(1.0, 1e-3), PrivacyBudget(30.0)):
+        for b in (baseline_scale(domain, budget), calibrate(domain, budget).b_star):
+            res = check_privacy_inequality(CalibratedMechanism(domain, budget, b), **FAST)
+            q, q_prime = res.witness["q"], res.witness["q_prime"]
+            (a, t), = res.witness["intervals"]
+            assert a == domain.lower
+            assert q <= t <= q_prime or t == domain.lower, res
+    res = check_privacy_inequality(calibrated(domain), **FAST)
     assert (res.witness["q"], res.witness["q_prime"]) == domain.worst_case_pair()
-    qs, _, xs, _, _ = _scan_grid(mech, **FAST)
-    assert qs[0] == domain.lower
-    (a, b), = res.witness["intervals"]
-    assert a == xs[0, 0] == domain.lower
-    assert b in xs[0] and b < domain.upper
 
 
 def test_privacy_check_on_shifted_domain_with_delta():
@@ -114,14 +116,18 @@ def test_privacy_check_on_shifted_domain_with_delta():
 def test_single_intervals_suffice_for_privacy_scan(domain, budget):
     # the likelihood ratio is monotone in the output, so for q < q' neither a
     # union of two disjoint intervals nor any single interval beats the best
-    # lower set on the verifier's own grid
+    # lower set on each query's equal-mass set grid, and the check's worst
+    # set beats that
     for scale in (baseline_scale(domain, budget), calibrate(domain, budget).b_star):
         mech = CalibratedMechanism(domain, budget, scale)
         amp = math.exp(budget.epsilon)
-        *_, rows_q, rows_q_prime = _scan_grid(mech, q_grid=60, set_grid=60)
-        lower_set = worst_interval_margin(rows_q, rows_q_prime, amp)[0]
+        qs, partners = _scan_grid(mech, q_grid=60)
+        rows_q, rows_q_prime = set_grid_tables(mech, qs, partners, 60)
+        lower_set = table_worst_margin(rows_q, rows_q_prime, amp)[0]
         assert two_interval_margin(rows_q, rows_q_prime, amp)[0] <= lower_set + 1e-14
         assert all_intervals_margin(rows_q, rows_q_prime, amp) <= lower_set + 1e-14
+        res = check_privacy_inequality(mech, q_grid=60)
+        assert res.worst_margin >= lower_set - budget.delta
 
 
 def test_privacy_check_stable_under_grid_refinement():
@@ -129,8 +135,8 @@ def test_privacy_check_stable_under_grid_refinement():
     mech_good = calibrated(domain)
     mech_bad = CalibratedMechanism(domain, BUDGET, baseline_scale(domain, BUDGET))
     for n in (50, 100):
-        assert check_privacy_inequality(mech_good, q_grid=n, set_grid=n).passed
-        assert not check_privacy_inequality(mech_bad, q_grid=n, set_grid=n).passed
+        assert check_privacy_inequality(mech_good, q_grid=n).passed
+        assert not check_privacy_inequality(mech_bad, q_grid=n).passed
 
 
 def test_privacy_check_rejects_epsilon_beyond_exp_range(monkeypatch):
@@ -185,7 +191,7 @@ def test_privacy_scan_fails_wherever_the_all_pairs_oracle_fails():
         rounding = 32.0 * math.exp(budget.epsilon) * 2.0**-53
         for scale in (report.b0, report.b_star):
             mech = CalibratedMechanism(domain, budget, scale)
-            res = check_privacy_inequality(mech, **grids)
+            res = check_privacy_inequality(mech, q_grid=40)
             oracle = all_pairs_uniform_scan(mech, **grids)
             oracle_fail = oracle > verification.PRIVACY_SLACK + rounding
             assert not oracle_fail or not res.passed, (domain, budget, scale)
@@ -197,24 +203,22 @@ def test_privacy_scan_fails_wherever_the_all_pairs_oracle_fails():
 
 
 def test_privacy_scan_matches_the_all_intervals_oracle():
-    # the oracle searches every interval of the scan's own tables: the scan's
-    # one-sided sets reach its verdict, never exceed its margin, and attain it
-    # bit for bit wherever it fails
-    grids = {"q_grid": 40, "set_grid": 40}
+    # the oracle searches every interval of each scanned pair's equal-mass set
+    # grid: the check's worst sets fail wherever it fails, and their margin
+    # is never below it
     fails = 0
     for domain, budget in _oracle_family():
         report = calibrate(domain, budget)
         amp = math.exp(budget.epsilon)
         for scale in (report.b0, report.b_star):
             mech = CalibratedMechanism(domain, budget, scale)
-            res = check_privacy_inequality(mech, **grids)
-            *_, f, g = _scan_grid(mech, **grids)
+            res = check_privacy_inequality(mech, q_grid=40)
+            qs, partners = _scan_grid(mech, q_grid=40)
+            f, g = set_grid_tables(mech, qs, partners, 40)
             oracle = all_intervals_margin(f, g, amp) - budget.delta
             oracle_fails = oracle > verification.PRIVACY_SLACK
-            assert res.passed != oracle_fails, (domain, budget, scale, res, oracle)
-            assert res.worst_margin <= oracle, (domain, budget, scale, res, oracle)
-            if oracle_fails:
-                assert res.worst_margin == oracle, (domain, budget, scale, res, oracle)
+            assert not oracle_fails or not res.passed, (domain, budget, scale, res, oracle)
+            assert res.worst_margin >= oracle, (domain, budget, scale, res, oracle)
             fails += oracle_fails
     assert fails > 0
 
@@ -224,7 +228,7 @@ def test_privacy_scan_verdict_is_reflection_invariant():
     # pair q < q' of [-upper, -lower] and its lower sets, so scanning the
     # lower sets of one side must give the mirror domain the same verdict,
     # and where it fails the same margin
-    grids = {"q_grid": 40, "set_grid": 40}
+    grids = {"q_grid": 40}
     fails = 0
     for domain, budget in _oracle_family():
         mirror = OutputDomain(-domain.upper, -domain.lower, domain.sensitivity)
@@ -238,25 +242,6 @@ def test_privacy_scan_verdict_is_reflection_invariant():
                     domain, budget, scale, res, ref)
             fails += not res.passed
     assert fails > 0
-
-
-def test_scan_tables_are_exactly_zero_at_the_lower_edge():
-    # the kernel reads a lower set's margin as one table entry, which needs
-    # every set grid to start at lower and every CDF to be exactly 0 there
-    for domain, budget in _oracle_family():
-        report = calibrate(domain, budget)
-        for scale in (report.b0, report.b_star):
-            mech = CalibratedMechanism(domain, budget, scale)
-            qs, partners, xs, f, g = _scan_grid(mech, q_grid=40, set_grid=5)
-            assert (xs[:, 0] == domain.lower).all(), (domain, budget, scale)
-            assert not f[:, 0].any() and not g[:, 0].any(), (domain, budget, scale)
-    # and at scales from 1e-9 to 1e12 widths, for queries across the domain
-    for domain in (OutputDomain(0.0, 1.0, 0.5), OutputDomain(-4.0, -1.0, 1.2), FAR_DOMAIN):
-        qs = np.linspace(domain.lower, domain.upper, 101)
-        for ratio in 10.0 ** np.arange(-9.0, 13.0):
-            mech = CalibratedMechanism(domain, BUDGET, ratio * domain.width)
-            assert (mech.quantile(qs, 0.0) == domain.lower).all(), (domain, ratio)
-            assert not mech.cdf(qs, domain.lower).any(), (domain, ratio)
 
 
 @pytest.mark.parametrize("upper", [1.0, 1000.0])
@@ -273,6 +258,29 @@ def test_privacy_scan_fails_baseline_at_small_sensitivity(frac, upper):
             assert not res.passed and res.worst_margin > 0.0, (eps, delta, res)
 
 
+def test_privacy_scan_fails_every_scale_below_b_star_at_zero_delta():
+    # at delta = 0 the paper's condition is exact, so every scale below b_star
+    # is non-private, at the worst pair (lower, lower + sensitivity), which
+    # the grid holds; the set-grid search passed 45 of these 300 scales, at
+    # theta 0.9 and 0.99
+    fails = 0
+    for lower, upper in ((0.0, 1.0), (0.0, 1000.0), (-4.0, -1.0)):
+        for frac in (1e-4, 1e-2, 0.1, 0.5, 0.9):
+            domain = OutputDomain(lower, upper, frac * (upper - lower))
+            for eps in (0.01, 0.1, 1.0, 5.0, 30.0):
+                budget = PrivacyBudget(eps)
+                report = calibrate(domain, budget)
+                mech = CalibratedMechanism(domain, budget, report.b_star)
+                assert check_privacy_inequality(mech).passed, (domain, budget)
+                for theta in (0.0, 0.5, 0.9, 0.99):
+                    b = report.b0 * (report.b_star / report.b0) ** theta
+                    assert b < report.b_star
+                    res = check_privacy_inequality(CalibratedMechanism(domain, budget, b))
+                    assert not res.passed, (domain, budget, theta, res)
+                    fails += 1
+    assert fails == 300
+
+
 def test_privacy_scan_pairs_are_admissible():
     # q + sensitivity can round to more than one sensitivity from q; each
     # partner must then step back to the farthest double within reach
@@ -281,7 +289,7 @@ def test_privacy_scan_pairs_are_admissible():
     mechs = [CalibratedMechanism(tiny, BUDGET, u / 2), calibrated(FAR_DOMAIN, FAR_BUDGET)]
     mechs += [calibrated(domain, budget) for domain, budget in _oracle_family()]
     for mech in mechs:
-        qs, partners, *_ = _scan_grid(mech, q_grid=200, set_grid=2)
+        qs, partners = _scan_grid(mech, q_grid=200)
         assert (partners > qs).all(), mech.domain
         assert (partners - qs <= mech.domain.sensitivity).all(), mech.domain
         # the worst-case pair that the empirical check samples obeys the same rule
@@ -289,13 +297,13 @@ def test_privacy_scan_pairs_are_admissible():
             assert mech.domain.worst_case_pair() == (qs[0], partners[0]), mech.domain
     # half an ulp of 1: every sum rounds to q or an ulp away, two sensitivities,
     # so no two grid queries form a pair
-    res = check_privacy_inequality(mechs[0], q_grid=8, set_grid=5)
+    res = check_privacy_inequality(mechs[0], q_grid=8)
     assert res.passed and res.worst_margin == -math.inf
     assert res.witness["q"] is None and res.witness["intervals"] == []
     # one and a half ulps: the sum rounds to one or two ulps away, and every
     # partner ends one ulp from q
     wide = CalibratedMechanism(OutputDomain(1.0, 1.0 + 7 * u, 1.5 * u), BUDGET, u)
-    qs, partners, *_ = _scan_grid(wide, q_grid=8, set_grid=5)
+    qs, partners = _scan_grid(wide, q_grid=8)
     assert len(qs) == 7
     assert (partners - qs == u).all()
 
@@ -495,7 +503,7 @@ def test_ratio_monotonicity_fails_for_broken_normalizer(domain, budget, monkeypa
     # a C whose upper half mass decays twice as fast breaks the fall of the
     # ratio in z; slopes taken per unit of width must expose it on a narrow
     # domain too
-    monkeypatch.setattr(verification, "_inside_mass", lambda left, right, b:
+    monkeypatch.setattr(mechanism, "_inside_mass", lambda left, right, b:
                         -0.5 * (np.expm1(-left / b) + np.expm1(-2.0 * right / b)))
     res = check_ratio_monotonicity(domain, calibrate(domain, budget).b_star)
     assert not res.passed
@@ -819,11 +827,15 @@ def test_run_all_checks_passes_when_calibrated():
 
 
 def test_run_all_checks_ends_with_empirical_estimate():
+    # set_grid sizes the empirical check's set grid
     domain = OutputDomain(0.0, 1.0, 0.5)
-    report = run_all_checks(domain, BUDGET, **FAST,
+    report = run_all_checks(domain, BUDGET, **FAST, set_grid=40,
                             rng=np.random.default_rng(42), samples=200_000)
     mech = calibrated(domain)
     assert report.checks[-1] == empirical_privacy_estimate(
+        mech, *domain.worst_case_pair(), samples=200_000, rng=np.random.default_rng(42),
+        set_grid=40)
+    assert report.checks[-1] != empirical_privacy_estimate(
         mech, *domain.worst_case_pair(), samples=200_000, rng=np.random.default_rng(42))
 
 
@@ -861,8 +873,7 @@ def test_run_all_checks_records_the_scale_it_checked(domain):
     b_star = calibrate(domain, budget).b_star
     b0 = baseline_scale(domain, budget)
     for scale, want in ((None, b_star), (b0, b0)):
-        report = run_all_checks(domain, budget, scale=scale, q_grid=8, set_grid=8,
-                                samples=0)
+        report = run_all_checks(domain, budget, scale=scale, q_grid=8, samples=0)
         assert report.scale == want
         assert report.checks[1].witness["scale"] == want
         assert list(report.to_dict()) == ["all_passed", "checks", "scale"]
@@ -880,7 +891,13 @@ def test_report_serializes_to_json():
 
 
 def test_config_validation():
-    mech = calibrated(OutputDomain(0.0, 1.0, 0.5))
-    for grids in ({"q_grid": 1}, {"set_grid": 1}):
-        with pytest.raises(ValueError, match="grid sizes must be at least 2"):
-            check_privacy_inequality(mech, **grids)
+    domain = OutputDomain(0.0, 1.0, 0.5)
+    mech = calibrated(domain)
+    with pytest.raises(ValueError, match="grid sizes must be at least 2"):
+        check_privacy_inequality(mech, q_grid=1)
+    for samples in (0, 100):
+        for grids in ({"q_grid": 1}, {"set_grid": 1}):
+            with pytest.raises(ValueError, match="grid sizes must be at least 2"):
+                run_all_checks(domain, BUDGET, samples=samples, **grids)
+    with pytest.raises(ValueError, match="grid sizes must be at least 2"):
+        empirical_privacy_estimate(mech, 0.0, 0.5, samples=100, set_grid=1)
