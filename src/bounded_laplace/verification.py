@@ -119,12 +119,15 @@ class VerificationReport:
         }
 
 
-def _scan_grid(mech, q_grid):
-    """The scan's pairs ``(qs, partners)``: each q of a ``q_grid`` linspace of
-    the domain with ``mechanism._partner(q)``, the farthest query at most one
-    sensitivity above it, and a pair with q' == q dropped."""
-    if q_grid < 2:
+def _require_grid(points):
+    if points < 2:
         raise ValueError("grid sizes must be at least 2")
+
+
+def _scan_grid(mech, q_grid):
+    """The scan's pairs ``(qs, partners)``: each q of a ``q_grid`` linspace of the
+    domain with ``mechanism._partner(q)``, a pair with q' == q dropped."""
+    _require_grid(q_grid)
     d = mech.domain
     qs = np.linspace(d.lower, d.upper, q_grid)
     partners = _partner(d, qs)
@@ -193,8 +196,7 @@ def check_sufficient_condition(mech) -> CheckResult:
 
 
 def _log_loss(w, b, t, z):
-    """log of (C(t+z)/C(t)) * e^(z/b) for offsets t from the lower edge,
-    broadcast over t and z; finite where e^(z/b) would overflow."""
+    """log((C(t+z)/C(t)) e^(z/b)) for offsets t from lower; finite where e^(z/b) is not."""
     return _log_shift_ratio(w, b, t, z) + z / b
 
 
@@ -326,8 +328,7 @@ def empirical_privacy_estimate(mech, q, q_prime, samples: int = EMPIRICAL_SAMPLE
         raise ValueError("q and q_prime must be within one sensitivity of each other")
     if samples < 1:
         raise ValueError("samples must be positive")
-    if set_grid < 2:
-        raise ValueError("grid sizes must be at least 2")
+    _require_grid(set_grid)
     if rng is None:
         rng = np.random.default_rng()
     lower_sets = q <= q_prime
@@ -368,8 +369,7 @@ def run_all_checks(domain, budget, scale=None, q_grid: int = SCAN_GRID,
     ``set_grid`` the empirical one, which runs on the worst-case pair unless
     ``samples=0``; both grids are validated either way.
     """
-    if set_grid < 2:
-        raise ValueError("grid sizes must be at least 2")
+    _require_grid(set_grid)
     mech = _mechanism_at(domain, budget, scale)
     checks = [
         check_privacy_inequality(mech, q_grid),

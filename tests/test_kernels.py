@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -120,6 +121,29 @@ def test_ties_resolve_to_lexicographically_first_witness():
         for ratio in 10.0 ** np.arange(-9.0, 13.0):
             mech = CalibratedMechanism(domain, PrivacyBudget(1.0), ratio * domain.width)
             assert not mech.cdf(qs, domain.lower).any(), (domain, ratio)
+
+
+def test_ties_between_candidate_ends_resolve_to_the_smallest_end():
+    # stub CDFs on a b0 scan, where the first pair's worst set is not empty:
+    # all zero, every candidate ties at margin 0 and the first pair's
+    # smallest end wins; a step of F_q at the first pair's middle candidate
+    # ties it with the one above, and the middle one wins over the larger
+    domain, budget = OutputDomain(0.0, 1.0, 0.1), PrivacyBudget(1.0)
+    mech = CalibratedMechanism(domain, budget, baseline_scale(domain, budget))
+    qs, partners = _scan_grid(mech, 40)
+    seen = []
+
+    def zero_cdf(q, x):
+        seen.append(np.array(x))
+        return np.zeros(np.broadcast_shapes(np.shape(q), np.shape(x)))
+
+    stub = SimpleNamespace(domain=domain, scale=mech.scale, budget=budget, cdf=zero_cdf)
+    got = worst_interval_margin(stub, qs, partners)
+    ends = seen[0][0]
+    assert ends[0] < ends[1] < ends[2]
+    assert got == (0.0, 0, ends[0])
+    stub.cdf = lambda q, x: ((q == qs[0]) & (x >= ends[1])).astype(float)
+    assert worst_interval_margin(stub, qs, partners) == (1.0, 0, ends[1])
 
 
 def test_ties_across_many_pairs_resolve_to_first_pair():

@@ -502,9 +502,13 @@ def test_ratio_monotonicity_is_translation_invariant():
 def test_ratio_monotonicity_fails_for_broken_normalizer(domain, budget, monkeypatch):
     # a C whose upper half mass decays twice as fast breaks the fall of the
     # ratio in z; slopes taken per unit of width must expose it on a narrow
-    # domain too
-    monkeypatch.setattr(mechanism, "_inside_mass", lambda left, right, b:
-                        -0.5 * (np.expm1(-left / b) + np.expm1(-2.0 * right / b)))
+    # domain too.  The check's log ratio is replaced whole, both of its C's
+    # broken, so the fault does not depend on how the core forms the ratio
+    def broken(left, right, b):
+        return -0.5 * (np.expm1(-left / b) + np.expm1(-2.0 * right / b))
+
+    monkeypatch.setattr(verification, "_log_shift_ratio", lambda w, b, a, z:
+                        np.log(broken(a + z, w - a - z, b) / broken(a, w - a, b)))
     res = check_ratio_monotonicity(domain, calibrate(domain, budget).b_star)
     assert not res.passed
     assert res.worst_margin > 1e3 * verification.FD_SLACK
