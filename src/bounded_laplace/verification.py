@@ -14,14 +14,15 @@ Scope caveat: the privacy guarantee quantifies over all measurable output
 sets and all query pairs, while the grid check tests each pair q < q' of a
 finite query grid on its worst set, the lower interval ``[lower, t]`` that
 ``_kernels`` solves for; the mirror x -> lower + upper - x maps every pair
-q > q' with its worst set, an upper interval, onto one of these.  Each grid
+q > q' with its worst set, an upper interval, onto one of these, so a grid
+pair's margin is its exact delta less the budget's.  Each grid
 query q is paired with ``min(q + sensitivity, upper)``, moved one ulp
 toward q if rounding puts it out of reach: on a lower set the violation
 grows with q', so the farthest admissible partner is the worst.  The
 empirical check admits exactly the pairs with ``|q - q'| <= sensitivity``,
 and its worst-case pair is placed by the same rule.  The grid check is a
 sound falsifier: any witness it reports is a real violation, up to the
-rounding of the closed-form masses; queries between grid points are not
+rounding of the closed-form delta; queries between grid points are not
 scanned, so a pass is evidence at the query grid's resolution, not a proof.
 
 The empirical check tests the same inequality with sampled frequencies on
@@ -42,7 +43,6 @@ random generator.
 """
 
 import math
-import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -141,36 +141,26 @@ def check_privacy_inequality(mech, q_grid: int = SCAN_GRID) -> CheckResult:
     Queries form a ``q_grid`` grid, each paired with the query one
     sensitivity above it, clipped to the domain (see ``_scan_grid``).  For
     each pair it asserts ``P(W_q in A) - e^eps * P(W_q' in A) <= delta +
-    PRIVACY_SLACK`` on the worst set A, solved in closed form by
-    ``_kernels.worst_interval_margin``.  The worst margin, its pair and set
-    are recorded either way; ties go to the first pair, then the smallest set.
+    PRIVACY_SLACK`` on the worst set A, where the left side is the pair's
+    exact delta, solved in closed form by ``_kernels.worst_interval_margin``.
+    The worst margin, its pair and set are recorded either way; ties go to
+    the first pair.
 
     These pairs and sets suffice (see the module docstring), and they are
     the accurate side of the mirror: an upper set's margin
     ``(1 - e^eps) - (F_q(t) - e^eps F_q'(t))`` rounds to a multiple of
-    ulp(e^eps), while a lower set's terms are probabilities wherever it
-    nears 0.  When rounding leaves no pair with q' != q, the check passes
-    with a margin of -inf and no witness pair.
-
-    For eps above log(DBL_MAX) it refuses before any CDF is evaluated, and
-    fails with a NaN margin and the refusal in its witness: e^eps is then not
-    a finite double, and CDF values far from q' underflow to 0, so no clamped
-    e^eps is sound.  Raises ``ValueError`` for a grid below 2 points.
+    ulp(e^eps), while a lower set's delta is a sum of two non-negative terms
+    with no e^eps in it, finite at every eps.  When rounding leaves no pair
+    with q' != q, the check passes with a margin of -inf and no witness
+    pair.  Raises ``ValueError`` for a grid below 2 points.
     """
-    budget = mech.budget
-    eps_limit = math.log(sys.float_info.max)
-    if budget.epsilon > eps_limit:
-        refusal = (f"the grid privacy check needs a finite e^epsilon: epsilon "
-                   f"{budget.epsilon} exceeds log(DBL_MAX) = {eps_limit}")
-        return CheckResult("privacy_inequality", False, math.nan,
-                           {"refused": refusal, "scale": float(mech.scale)})
     qs, partners = _scan_grid(mech, q_grid)
     raw, q, q_prime, intervals = -math.inf, None, None, []
     if qs.size:
         raw, p, t = worst_interval_margin(mech, qs, partners)
         q, q_prime = float(qs[p]), float(partners[p])
         intervals = [[float(mech.domain.lower), t]]
-    margin = raw - budget.delta
+    margin = raw - mech.budget.delta
     witness = {"q": q, "q_prime": q_prime, "intervals": intervals,
                "scale": float(mech.scale)}
     return CheckResult("privacy_inequality", bool(margin <= PRIVACY_SLACK),

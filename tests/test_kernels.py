@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ import pytest
 from bounded_laplace import (CalibratedMechanism, OutputDomain, PrivacyBudget,
                              baseline_scale, calibrate)
 from bounded_laplace._kernels import worst_interval_margin
+from bounded_laplace.mechanism import _log_shift_ratio
 from bounded_laplace.verification import PRIVACY_SLACK, _scan_grid
 from helpers import (all_intervals_margin, brute_force_two, mp_pair_delta, set_grid_tables,
                      table_worst_margin, two_interval_margin)
@@ -53,11 +53,12 @@ NEAR_DOMAINS = ((0.0, 1.0), (0.0, 1000.0), (-4.0, -1.0))
 def test_numpy_kernel_matches_brute_force():
     # the exact delta of each pair, at 80 digits, is the brute-force sup over
     # every lower set; the double margin neither misses a violation nor
-    # reports a false one, at eps up to 50, where a margin is a difference of
-    # terms of size up to e^eps times a probability
+    # reports a false one, at eps up to 50, where e^eps times a probability
+    # would be of size 1e21, and on [1e6, 1e6 + 1e-3], where a worst set can
+    # be narrower than an ulp of the domain's edges
     fails = 0
-    for mech in problems(NEAR_DOMAINS, (1e-4, 0.1, 0.5, 0.9), (1.0, 30.0, 35.0, 50.0),
-                         (0.9, 0.99, 1.0)):
+    for mech in problems(NEAR_DOMAINS + ((1e6, 1e6 + 1e-3),), (1e-4, 0.1, 0.5, 0.9),
+                         (1.0, 30.0, 35.0, 50.0), (0.9, 0.99, 1.0)):
         qs, partners = _scan_grid(mech, 4)
         margin = worst_interval_margin(mech, qs, partners)[0]
         exact = max(float(mp_pair_delta(mech, q, q_prime)[0])
@@ -68,6 +69,35 @@ def test_numpy_kernel_matches_brute_force():
         assert abs(margin - exact) <= 1e-9 * exact + 1e-14, (mech, margin, exact)
         fails += exact - delta > PRIVACY_SLACK
     assert fails > 0
+
+
+def test_kernel_sees_a_worst_set_narrower_than_an_ulp_of_the_edges():
+    # the pair (1e6, 1e6 + 9.99e-8) at eps 35: its worst set ends 4.2e-11
+    # above q, under half an ulp of 1e6, and its exact delta is 2.06e-4
+    domain, budget = OutputDomain(1e6, 1e6 + 1e-3, 1e-7), PrivacyBudget(35.0)
+    mech = CalibratedMechanism(domain, budget, scales(domain, budget, (0.9,))[0])
+    qs, partners = _scan_grid(mech, 4)
+    margin, p, _ = worst_interval_margin(mech, qs, partners)
+    exact = float(mp_pair_delta(mech, qs[p], partners[p])[0])
+    assert (qs[p], exact) == (domain.lower, pytest.approx(2.063e-4, rel=1e-3))
+    assert margin == pytest.approx(exact, rel=1e-9, abs=0.0)
+
+
+def test_kernel_margins_are_zero_exactly_where_the_worst_set_is_empty():
+    # kappa = lambda + z/b - eps: each pair's delta is exactly 0 where kappa
+    # <= 0, and positive elsewhere, as the crossing then lies in (q, q']
+    empty = 0
+    for mech in problems(NEAR_DOMAINS + ((1e6, 1e6 + 1e-3),), (1e-4, 0.1, 0.9),
+                         (0.01, 1.0, 35.0, 1000.0), (0.0, 0.9, 0.99, 1.0)):
+        d, b = mech.domain, mech.scale
+        qs, partners = _scan_grid(mech, 12)
+        z = partners - qs
+        kappa = _log_shift_ratio(d.width, b, qs - d.lower, z) + z / b - mech.budget.epsilon
+        for k in range(qs.size):
+            margin = worst_interval_margin(mech, qs[k:k + 1], partners[k:k + 1])[0]
+            assert (margin == 0.0) == (kappa[k] <= 0.0) and margin >= 0.0, (mech, k, margin)
+            empty += kappa[k] <= 0.0
+    assert 0 < empty
 
 
 def test_kernel_is_never_below_the_set_grid_scan():
@@ -123,29 +153,6 @@ def test_ties_resolve_to_lexicographically_first_witness():
             assert not mech.cdf(qs, domain.lower).any(), (domain, ratio)
 
 
-def test_ties_between_candidate_ends_resolve_to_the_smallest_end():
-    # stub CDFs on a b0 scan, where the first pair's worst set is not empty:
-    # all zero, every candidate ties at margin 0 and the first pair's
-    # smallest end wins; a step of F_q at the first pair's middle candidate
-    # ties it with the one above, and the middle one wins over the larger
-    domain, budget = OutputDomain(0.0, 1.0, 0.1), PrivacyBudget(1.0)
-    mech = CalibratedMechanism(domain, budget, baseline_scale(domain, budget))
-    qs, partners = _scan_grid(mech, 40)
-    seen = []
-
-    def zero_cdf(q, x):
-        seen.append(np.array(x))
-        return np.zeros(np.broadcast_shapes(np.shape(q), np.shape(x)))
-
-    stub = SimpleNamespace(domain=domain, scale=mech.scale, budget=budget, cdf=zero_cdf)
-    got = worst_interval_margin(stub, qs, partners)
-    ends = seen[0][0]
-    assert ends[0] < ends[1] < ends[2]
-    assert got == (0.0, 0, ends[0])
-    stub.cdf = lambda q, x: ((q == qs[0]) & (x >= ends[1])).astype(float)
-    assert worst_interval_margin(stub, qs, partners) == (1.0, 0, ends[1])
-
-
 def test_ties_across_many_pairs_resolve_to_first_pair():
     domain, budget = OutputDomain(0.0, 1.0, 0.1), PrivacyBudget(1.0)
     for b in (baseline_scale(domain, budget), calibrate(domain, budget).b_star):
@@ -172,7 +179,7 @@ def test_numpy_scan_memory_is_linear_in_pairs():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a few arrays of three candidate ends per pair, nothing per set
+        # a few arrays of one value per pair, nothing per set
         assert peak < 48 * q.nbytes, (reps, peak)
 
 

@@ -1,6 +1,5 @@
 import json
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -30,6 +29,7 @@ from helpers import (
     closed_form_empirical_margin,
     counts_at_or_below,
     laplace_mass_quadrature,
+    mp_pair_delta,
     random_problem,
     reference_empirical_counts,
     reference_sufficient_condition,
@@ -139,22 +139,19 @@ def test_privacy_check_stable_under_grid_refinement():
         assert not check_privacy_inequality(mech_bad, q_grid=n).passed
 
 
-def test_privacy_check_rejects_epsilon_beyond_exp_range(monkeypatch):
-    # e^709 is a finite double, e^710 is not
+def test_privacy_check_is_exact_at_epsilon_beyond_exp_range():
+    # e^709 is a finite double, e^710 and e^1000 are not; the grid check's
+    # delta has no e^eps in it, so it passes b_star, as every other check
+    # does, and fails b0 at its witness pair's exact delta
     domain = OutputDomain(0.0, 1.0, 0.5)
-    assert check_privacy_inequality(calibrated(domain, PrivacyBudget(709.0)), **FAST).passed
-    mech = calibrated(domain, PrivacyBudget(710.0))
-
-    def no_table(*args):
-        raise AssertionError("the CDF table was built")
-
-    monkeypatch.setattr(verification, "_scan_grid", no_table)
-    res = check_privacy_inequality(mech, **FAST)
-    assert not res.passed and math.isnan(res.worst_margin)
-    assert res.witness == {
-        "refused": "the grid privacy check needs a finite e^epsilon: epsilon 710.0 "
-                   f"exceeds log(DBL_MAX) = {math.log(sys.float_info.max)}",
-        "scale": mech.scale}
+    for eps in (709.0, 710.0, 1000.0):
+        budget = PrivacyBudget(eps)
+        assert run_all_checks(domain, budget, **FAST, samples=0).all_passed, eps
+        mech = CalibratedMechanism(domain, budget, baseline_scale(domain, budget))
+        res = check_privacy_inequality(mech, **FAST)
+        exact = float(mp_pair_delta(mech, res.witness["q"], res.witness["q_prime"])[0])
+        assert not res.passed and math.isfinite(res.worst_margin)
+        assert res.worst_margin == pytest.approx(exact, rel=1e-9, abs=0.0), eps
 
 
 def _oracle_family():
