@@ -132,9 +132,8 @@ def test_kernel_matches_per_pair_evaluation_bitwise():
 
 
 def test_ties_resolve_to_lexicographically_first_witness():
-    # above b_star every pair's worst set is empty: its end is lower, where
-    # both CDFs are exactly 0, so every margin is exactly 0 and the first
-    # pair wins at t = lower
+    # above b_star every pair's worst set is empty: kappa is 0, so every
+    # margin is exactly 0 and the first pair wins at t = lower
     for lower, upper in NEAR_DOMAINS + ((1e6, 1e6 + 1e-3),):
         for frac in (1e-4, 0.5, 0.9):
             domain = OutputDomain(lower, upper, frac * (upper - lower))
@@ -143,8 +142,8 @@ def test_ties_resolve_to_lexicographically_first_witness():
                 mech = CalibratedMechanism(domain, PrivacyBudget(eps), b)
                 qs, partners = _scan_grid(mech, 50)
                 assert worst_interval_margin(mech, qs, partners) == (0.0, 0, lower)
-    # the CDFs are exactly 0 at lower at scales from 1e-9 to 1e12 widths, for
-    # queries across the domain
+    # the witness [lower, lower] is a null set: the CDFs are exactly 0 at
+    # lower at scales from 1e-9 to 1e12 widths, for queries across the domain
     for domain in (OutputDomain(0.0, 1.0, 0.5), OutputDomain(-4.0, -1.0, 1.2),
                    OutputDomain(-9.993759296579928, -9.784134590603939, 0.1048123529879943)):
         qs = np.linspace(domain.lower, domain.upper, 101)
