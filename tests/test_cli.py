@@ -238,6 +238,24 @@ def test_verify_large_epsilon_grid_witness_is_the_worst_pair(problem, pair, caps
     assert -1e-4 < grid["worst_margin"] <= PRIVACY_SLACK
 
 
+@pytest.mark.parametrize("scale", [[], ["--b", "10"]], ids=["b_star", "b10"])
+def test_verify_epsilon_beyond_exp_range_reports_refusal(scale, capsys):
+    # e^1000 is not a finite double.  The grid check once refused here with a
+    # NaN margin; its delta has no e^eps in it now, so no check reports a
+    # refusal and both private scales pass all four checks at a finite margin
+    code, out, err = run_cli(
+        ["verify", "--epsilon", "1000", "--lower", "0", "--upper", "1",
+         "--sensitivity", "0.5", "--samples", "0", "--format", "json", *scale], capsys)
+    assert (code, err) == (0, "")
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == [
+        "privacy_inequality", "sufficient_condition", "ratio_monotonicity",
+        "fixed_point_properties"]
+    assert all(c["passed"] for c in checks)
+    assert not any("refused" in c["witness"] for c in checks)
+    assert checks[0]["worst_margin"] == 0.0
+
+
 def test_verify_grid_and_sample_defaults_are_the_library_constants():
     args = build_parser().parse_args(["verify", *BASE, "--sensitivity", "0.5"])
     assert args.q_grid == args.set_grid == SCAN_GRID

@@ -139,7 +139,7 @@ def test_privacy_check_stable_under_grid_refinement():
         assert not check_privacy_inequality(mech_bad, q_grid=n).passed
 
 
-def test_privacy_check_is_exact_at_epsilon_beyond_exp_range():
+def test_privacy_check_rejects_epsilon_beyond_exp_range():
     # e^709 is a finite double, e^710 and e^1000 are not; the grid check's
     # delta has no e^eps in it, so it passes b_star, as every other check
     # does, and fails b0 at its witness pair's exact delta
