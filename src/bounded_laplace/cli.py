@@ -93,7 +93,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    rng = _make_rng(args.seed) if args.samples else None
+    rng = _make_rng(args.seed) if args.samples > 0 else None
     report = run_all_checks(*_domain_budget(args), scale=args.b, q_grid=args.q_grid,
                             set_grid=args.set_grid, rng=rng, samples=args.samples)
     if args.format == "json":

@@ -126,16 +126,13 @@ class OutputDomain:
 
     def worst_case_pair(self) -> tuple:
         """The query pair (lower, lower + sensitivity) with the largest privacy
-        loss, the second query placed by :func:`_partner`."""
-        return self.lower, float(_partner(self, self.lower))
-
-
-def _partner(domain, q):
-    """The farthest query at most one sensitivity above q (scalar or array):
-    ``min(q + sensitivity, upper)``, stepped one ulp toward q where it
-    rounds to more than one sensitivity away."""
-    p = np.minimum(q + domain.sensitivity, domain.upper)
-    return np.where(p - q > domain.sensitivity, np.nextafter(p, q), p)
+        loss: the farthest double at most one sensitivity above lower,
+        ``min(lower + sensitivity, upper)`` stepped one ulp toward lower where
+        it rounds to more than one sensitivity away."""
+        p = min(self.lower + self.sensitivity, self.upper)
+        if p - self.lower > self.sensitivity:
+            p = math.nextafter(p, self.lower)
+        return self.lower, p
 
 
 def _normalizer(domain, q, b):

@@ -15,15 +15,16 @@ sets and all query pairs, while the grid check tests each pair q < q' of a
 finite query grid on its worst set, the lower interval ``[lower, t]`` that
 ``_kernels`` solves for; the mirror x -> lower + upper - x maps every pair
 q > q' with its worst set, an upper interval, onto one of these, so a grid
-pair's margin is its exact delta less the budget's.  Each grid
-query q is paired with ``min(q + sensitivity, upper)``, moved one ulp
-toward q if rounding puts it out of reach: on a lower set the violation
-grows with q', so the farthest admissible partner is the worst.  The
-empirical check admits exactly the pairs with ``|q - q'| <= sensitivity``,
-and its worst-case pair is placed by the same rule.  The grid check is a
-sound falsifier: any witness it reports is a real violation, up to the
-rounding of the closed-form delta; queries between grid points are not
-scanned, so a pass is evidence at the query grid's resolution, not a proof.
+pair's margin is its exact delta less the budget's.  The grid holds offsets
+a from the lower edge, each paired with ``a + min(sensitivity, width - a)``
+(on a lower set the violation grows with q', so the farthest admissible
+partner is the worst): no pair is rounded at the scale of the edges, and
+every translate of a domain gets the same margins.  The empirical check
+admits the pairs of doubles with ``|q - q'| <= sensitivity`` and samples
+``OutputDomain.worst_case_pair``.  The grid check is a sound falsifier: any
+witness it reports is a real violation, up to the rounding of the
+closed-form delta; queries between grid points are not scanned, so a pass
+is evidence at the query grid's resolution, not a proof.
 
 The empirical check tests the same inequality with sampled frequencies on
 sets that end at q's quantiles, so it also tests the sampler as run.  Its
@@ -50,8 +51,8 @@ import numpy as np
 from ._kernels import worst_interval_margin
 from .calibration import achieved_epsilon, baseline_scale, calibrate, fixed_point_operator
 from .errors import CalibrationInfeasibleError
-from .mechanism import (BLOCK, CalibratedMechanism, _log_shift_ratio, _partner,
-                        _require_scale, normalizer_ratio)
+from .mechanism import (BLOCK, CalibratedMechanism, _log_shift_ratio, _require_scale,
+                        normalizer_ratio)
 
 __all__ = [
     "CheckResult",
@@ -125,43 +126,38 @@ def _require_grid(points):
 
 
 def _scan_grid(mech, q_grid):
-    """The scan's pairs ``(qs, partners)``: each q of a ``q_grid`` linspace of the
-    domain with ``mechanism._partner(q)``, a pair with q' == q dropped."""
+    """The scan's pairs as offsets ``(a, z)`` from the lower edge: each a of a
+    ``q_grid`` linspace of [0, width] but the last, with ``z = min(sensitivity,
+    width - a)`` > 0; a + z passes width by at most the rounding of width - a."""
     _require_grid(q_grid)
-    d = mech.domain
-    qs = np.linspace(d.lower, d.upper, q_grid)
-    partners = _partner(d, qs)
-    kept = partners != qs
-    return qs[kept], partners[kept]
+    w = mech.domain.width
+    a = np.linspace(0.0, w, q_grid)[:-1]
+    return a, np.minimum(mech.domain.sensitivity, w - a)
 
 
 def check_privacy_inequality(mech, q_grid: int = SCAN_GRID) -> CheckResult:
     """Test the DP inequality on pairs q < q' = q + sensitivity at each one's worst set.
 
-    Queries form a ``q_grid`` grid, each paired with the query one
-    sensitivity above it, clipped to the domain (see ``_scan_grid``).  For
-    each pair it asserts ``P(W_q in A) - e^eps * P(W_q' in A) <= delta +
-    PRIVACY_SLACK`` on the worst set A, where the left side is the pair's
-    exact delta, solved in closed form by ``_kernels.worst_interval_margin``.
-    The worst margin, its pair and set are recorded either way; ties go to
-    the first pair.
+    The pairs are ``_scan_grid``'s offsets.  For each pair it asserts
+    ``P(W_q in A) - e^eps * P(W_q' in A) <= delta + PRIVACY_SLACK`` on the
+    worst set A, where the left side is the pair's exact delta, solved in
+    closed form by ``_kernels.worst_interval_margin``.  The worst margin,
+    its pair (labelled ``q = lower + a`` and ``q' = min(q + z, upper)``) and
+    its set are recorded either way; ties go to the first pair.
 
     These pairs and sets suffice (see the module docstring), and they are
     the accurate side of the mirror: an upper set's margin
     ``(1 - e^eps) - (F_q(t) - e^eps F_q'(t))`` rounds to a multiple of
     ulp(e^eps), while a lower set's delta is a sum of two non-negative terms
-    with no e^eps in it, finite at every eps.  When rounding leaves no pair
-    with q' != q, the check passes with a margin of -inf and no witness
-    pair.  Raises ``ValueError`` for a grid below 2 points.
+    with no e^eps in it, finite at every eps.  Raises ``ValueError`` for a
+    grid below 2 points.
     """
-    qs, partners = _scan_grid(mech, q_grid)
-    raw, q, q_prime, intervals = -math.inf, None, None, []
-    if qs.size:
-        raw, p, t = worst_interval_margin(mech, qs, partners)
-        q, q_prime = float(qs[p]), float(partners[p])
-        intervals = [[float(mech.domain.lower), t]]
+    a, z = _scan_grid(mech, q_grid)
+    raw, p, t = worst_interval_margin(mech, a, z)
+    d = mech.domain
+    q = d.lower + float(a[p])
     margin = raw - mech.budget.delta
-    witness = {"q": q, "q_prime": q_prime, "intervals": intervals,
+    witness = {"q": q, "q_prime": min(q + float(z[p]), d.upper), "intervals": [[d.lower, t]],
                "scale": float(mech.scale)}
     return CheckResult("privacy_inequality", bool(margin <= PRIVACY_SLACK),
                        float(margin), witness)
@@ -357,9 +353,11 @@ def run_all_checks(domain, budget, scale=None, q_grid: int = SCAN_GRID,
     draws at; the baseline scale instead reproduces the non-guarantee.  The
     report records the scale checked.  ``q_grid`` sizes the grid check and
     ``set_grid`` the empirical one, which runs on the worst-case pair unless
-    ``samples=0``; both grids are validated either way.
+    ``samples=0``; the grids and ``samples`` are validated before any check.
     """
     _require_grid(set_grid)
+    if samples < 0:
+        raise ValueError("samples must be non-negative")
     mech = _mechanism_at(domain, budget, scale)
     checks = [
         check_privacy_inequality(mech, q_grid),

@@ -7,6 +7,7 @@ import numpy as np
 from scipy import integrate
 
 from bounded_laplace import (
+    CalibratedMechanism,
     CheckResult,
     OutputDomain,
     PrivacyBudget,
@@ -235,9 +236,10 @@ def all_pairs_uniform_scan(mech, q_grid, set_grid):
     return best - mech.budget.delta
 
 
-def mp_pair_delta(mech, q, q_prime):
-    """Exact delta of the pair q < q' at 80 digits: the sup over the lower
-    sets ``[lower, t]`` of ``F_q(t) - e^eps F_q'(t)``, and a t attaining it.
+def mp_pair_delta(mech, a, z):
+    """Exact delta at 80 digits of the pair ``q = lower + a < q' = q + z``,
+    both sums formed in mpmath: the sup over the lower sets ``[lower, t]``
+    of ``F_q(t) - e^eps F_q'(t)``, and a t attaining it.
 
     The sup lies at lower, at q or q', or where ``p_q - e^eps p_q'`` changes
     sign inside (q, q'); that point is found by bisection on the sign of the
@@ -245,31 +247,41 @@ def mp_pair_delta(mech, q, q_prime):
     """
     d, eps = mech.domain, mech.budget.epsilon
     with mpmath.workdps(80):
-        lo, hi, q, qp, b = (mpmath.mpf(v) for v in (d.lower, d.upper, q, q_prime, mech.scale))
+        lo, hi, a, z, b = (mpmath.mpf(v) for v in (d.lower, d.upper, a, z, mech.scale))
+        q, qp = lo + a, lo + a + z
         c, cp, amp = _mp_mass(q, b, lo, hi), _mp_mass(qp, b, lo, hi), mpmath.exp(eps)
         log_ratio = mpmath.log(cp / c) - eps
         ts = [lo, q, qp]
-        a, z = q, qp
+        left, right = q, qp
         # the density ratio falls across (q, q'); 2**-100 of z puts t far
         # closer than 80 digits resolve the margin, which is flat at its sup
         for _ in range(100):
-            m = (a + z) / 2
-            a, z = (m, z) if (qp + q - 2 * m) / b + log_ratio > 0 else (a, m)
-        ts.append(a)
+            m = (left + right) / 2
+            left, right = (m, right) if (qp + q - 2 * m) / b + log_ratio > 0 else (left, m)
+        ts.append(left)
         return max((_mp_mass(q, b, lo, t) / c - amp * _mp_mass(qp, b, lo, t) / cp, t)
                    for t in ts)
 
 
-def set_grid_tables(mech, qs, partners, set_grid):
-    """The grid check's CDF tables before its worst set had a closed form.
+def set_grid_tables(mech, a, z, set_grid):
+    """The grid check's CDF tables before its worst set had a closed form,
+    for the scan's offset pairs ``(a, z)``.
 
-    Query ``qs[r]`` has the set grid ``xs[r, k] = quantile(qs[r], k / (set_grid
-    - 1))``, equal-mass under ``qs[r]`` with the domain edges at both ends.
-    Returns ``(rows_q, rows_q_prime)``, one row per pair, with ``rows_q =
-    F_q`` and ``rows_q_prime = F_{q'}`` at the pair's grid points.
+    The tables are those of the domain moved to lower = 0, which has the
+    same law relative to its edge: query ``a[r]`` is exact there, and its
+    partner is the farthest double at most ``z[r]`` above it.  Query
+    ``a[r]`` has the set grid ``xs[r, k] = quantile(a[r], k / (set_grid -
+    1))``, equal-mass with the domain edges at both ends.  Returns
+    ``(rows_q, rows_q_prime)``, one row per pair, with ``rows_q = F_q`` and
+    ``rows_q_prime = F_{q'}`` at the pair's grid points.
     """
-    xs = mech.quantile(qs[:, None], np.arange(set_grid) / (set_grid - 1))
-    return mech.cdf(qs[:, None], xs), mech.cdf(partners[:, None], xs)
+    d = mech.domain
+    moved = CalibratedMechanism(OutputDomain(0.0, d.width, d.sensitivity), mech.budget,
+                                mech.scale)
+    partners = np.minimum(a + z, d.width)
+    partners = np.where(partners - a > z, np.nextafter(partners, a), partners)
+    xs = moved.quantile(a[:, None], np.arange(set_grid) / (set_grid - 1))
+    return moved.cdf(a[:, None], xs), moved.cdf(partners[:, None], xs)
 
 
 def table_worst_margin(rows_q, rows_q_prime, amp):

@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from bounded_laplace import OutputDomain, PrivacyBudget, calibrate
+from bounded_laplace import OutputDomain, PrivacyBudget, calibrate, verification
 from bounded_laplace.cli import build_parser, main
 from bounded_laplace.verification import EMPIRICAL_SAMPLES, PRIVACY_SLACK, SCAN_GRID
 
@@ -268,6 +268,20 @@ def test_verify_grid_below_two_is_typed_error(flag, capsys):
         ["verify", *BASE, "--sensitivity", "0.5", "--samples", "0", flag, "1"], capsys)
     assert (code, out) == (2, "")
     assert "grid sizes must be at least 2" in err
+
+
+def test_verify_negative_samples_is_rejected_before_any_check(monkeypatch, capsys):
+    # no seed is drawn and echoed, and neither calibrate nor any check runs
+    def ran(*args, **kwargs):
+        raise AssertionError("ran before the sample count was validated")
+
+    for name in ("calibrate", "check_privacy_inequality", "check_sufficient_condition",
+                 "check_ratio_monotonicity", "check_fixed_point_properties",
+                 "empirical_privacy_estimate"):
+        monkeypatch.setattr(verification, name, ran)
+    code, out, err = run_cli(["verify", *BASE, "--sensitivity", "0.5", "--samples", "-1"],
+                             capsys)
+    assert (code, out, err) == (2, "", "error: samples must be non-negative\n")
 
 
 def test_verify_grid_check_fails_a_violation_between_set_grid_points(capsys):

@@ -59,10 +59,9 @@ def test_numpy_kernel_matches_brute_force():
     fails = 0
     for mech in problems(NEAR_DOMAINS + ((1e6, 1e6 + 1e-3),), (1e-4, 0.1, 0.5, 0.9),
                          (1.0, 30.0, 35.0, 50.0), (0.9, 0.99, 1.0)):
-        qs, partners = _scan_grid(mech, 4)
-        margin = worst_interval_margin(mech, qs, partners)[0]
-        exact = max(float(mp_pair_delta(mech, q, q_prime)[0])
-                    for q, q_prime in zip(qs, partners))
+        a, z = _scan_grid(mech, 4)
+        margin = worst_interval_margin(mech, a, z)[0]
+        exact = max(float(mp_pair_delta(mech, *pair)[0]) for pair in zip(a, z))
         delta = mech.budget.delta
         assert (margin - delta > PRIVACY_SLACK) == (exact - delta > PRIVACY_SLACK), (
             mech, margin, exact)
@@ -72,15 +71,16 @@ def test_numpy_kernel_matches_brute_force():
 
 
 def test_kernel_sees_a_worst_set_narrower_than_an_ulp_of_the_edges():
-    # the pair (1e6, 1e6 + 9.99e-8) at eps 35: its worst set ends 4.2e-11
-    # above q, under half an ulp of 1e6, and its exact delta is 2.06e-4
+    # the pair (1e6, 1e6 + 1e-7) at eps 35: its worst set ends 1.0e-10
+    # above q, under an ulp of 1e6, and its exact delta is 1.14e-3
     domain, budget = OutputDomain(1e6, 1e6 + 1e-3, 1e-7), PrivacyBudget(35.0)
     mech = CalibratedMechanism(domain, budget, scales(domain, budget, (0.9,))[0])
-    qs, partners = _scan_grid(mech, 4)
-    margin, p, _ = worst_interval_margin(mech, qs, partners)
-    exact = float(mp_pair_delta(mech, qs[p], partners[p])[0])
-    assert (qs[p], exact) == (domain.lower, pytest.approx(2.063e-4, rel=1e-3))
-    assert margin == pytest.approx(exact, rel=1e-9, abs=0.0)
+    a, z = _scan_grid(mech, 4)
+    margin, p, t = worst_interval_margin(mech, a, z)
+    exact, t_exact = mp_pair_delta(mech, a[p], z[p])
+    assert (a[p], z[p], float(exact)) == (0.0, 1e-7, pytest.approx(1.14e-3, rel=1e-3))
+    assert 0.0 < t_exact - domain.lower < math.ulp(domain.lower)
+    assert margin == pytest.approx(float(exact), rel=1e-9, abs=0.0)
 
 
 def test_kernel_margins_are_zero_exactly_where_the_worst_set_is_empty():
@@ -89,12 +89,11 @@ def test_kernel_margins_are_zero_exactly_where_the_worst_set_is_empty():
     empty = 0
     for mech in problems(NEAR_DOMAINS + ((1e6, 1e6 + 1e-3),), (1e-4, 0.1, 0.9),
                          (0.01, 1.0, 35.0, 1000.0), (0.0, 0.9, 0.99, 1.0)):
-        d, b = mech.domain, mech.scale
-        qs, partners = _scan_grid(mech, 12)
-        z = partners - qs
-        kappa = _log_shift_ratio(d.width, b, qs - d.lower, z) + z / b - mech.budget.epsilon
-        for k in range(qs.size):
-            margin = worst_interval_margin(mech, qs[k:k + 1], partners[k:k + 1])[0]
+        b = mech.scale
+        a, z = _scan_grid(mech, 12)
+        kappa = _log_shift_ratio(mech.domain.width, b, a, z) + z / b - mech.budget.epsilon
+        for k in range(a.size):
+            margin = worst_interval_margin(mech, a[k:k + 1], z[k:k + 1])[0]
             assert (margin == 0.0) == (kappa[k] <= 0.0) and margin >= 0.0, (mech, k, margin)
             empty += kappa[k] <= 0.0
     assert 0 < empty
@@ -107,10 +106,10 @@ def test_kernel_is_never_below_the_set_grid_scan():
     fails = 0
     for mech in problems(NEAR_DOMAINS + ((1e6, 1e6 + 1e-3),), (1e-4, 1e-2, 0.5, 1.0),
                          (0.01, 1.0, 5.0, 30.0, 50.0), (0.0, 0.9, 1.0)):
-        qs, partners = _scan_grid(mech, 40)
-        f, g = set_grid_tables(mech, qs, partners, 40)
+        a, z = _scan_grid(mech, 40)
+        f, g = set_grid_tables(mech, a, z, 40)
         grid = table_worst_margin(f, g, math.exp(mech.budget.epsilon))[0]
-        closed = worst_interval_margin(mech, qs, partners)[0]
+        closed = worst_interval_margin(mech, a, z)[0]
         assert closed >= grid, (mech, closed, grid)
         fails += grid - mech.budget.delta > PRIVACY_SLACK
     assert fails > 0
@@ -121,14 +120,14 @@ def test_kernel_matches_per_pair_evaluation_bitwise():
     # maximum of the pairs taken one at a time, bit for bit
     rng = np.random.default_rng(6)
     for mech in problems(NEAR_DOMAINS, (1e-2, 0.5), (1.0, 30.0), (0.0, 0.9)):
-        qs, partners = _scan_grid(mech, 30)
-        for order in (np.arange(qs.size), rng.permutation(qs.size)):
+        a, z = _scan_grid(mech, 30)
+        for order in (np.arange(a.size), rng.permutation(a.size)):
             best = (-math.inf, None, None)
             for pos, k in enumerate(order):
-                margin, _, t = worst_interval_margin(mech, qs[k:k + 1], partners[k:k + 1])
+                margin, _, t = worst_interval_margin(mech, a[k:k + 1], z[k:k + 1])
                 if margin > best[0]:
                     best = (margin, pos, t)
-            assert worst_interval_margin(mech, qs[order], partners[order]) == best
+            assert worst_interval_margin(mech, a[order], z[order]) == best
 
 
 def test_ties_resolve_to_lexicographically_first_witness():
@@ -140,8 +139,8 @@ def test_ties_resolve_to_lexicographically_first_witness():
             for eps in (0.01, 1.0, 50.0):
                 b = 2.0 * calibrate(domain, PrivacyBudget(eps)).b_star
                 mech = CalibratedMechanism(domain, PrivacyBudget(eps), b)
-                qs, partners = _scan_grid(mech, 50)
-                assert worst_interval_margin(mech, qs, partners) == (0.0, 0, lower)
+                a, z = _scan_grid(mech, 50)
+                assert worst_interval_margin(mech, a, z) == (0.0, 0, lower)
     # the witness [lower, lower] is a null set: the CDFs are exactly 0 at
     # lower at scales from 1e-9 to 1e12 widths, for queries across the domain
     for domain in (OutputDomain(0.0, 1.0, 0.5), OutputDomain(-4.0, -1.0, 1.2),
@@ -156,30 +155,30 @@ def test_ties_across_many_pairs_resolve_to_first_pair():
     domain, budget = OutputDomain(0.0, 1.0, 0.1), PrivacyBudget(1.0)
     for b in (baseline_scale(domain, budget), calibrate(domain, budget).b_star):
         mech = CalibratedMechanism(domain, budget, b)
-        qs, partners = _scan_grid(mech, 40)
+        a, z = _scan_grid(mech, 40)
         # 100,000 pairs, the same few repeated: every winning margin ties with
         # a copy of it far down the pair axis, and the first copy must win
-        reps = 100_000 // qs.size + 1
-        got = worst_interval_margin(mech, np.tile(qs, reps), np.tile(partners, reps))
-        assert got == worst_interval_margin(mech, qs, partners)
+        reps = 100_000 // a.size + 1
+        got = worst_interval_margin(mech, np.tile(a, reps), np.tile(z, reps))
+        assert got == worst_interval_margin(mech, a, z)
 
 
 def test_numpy_scan_memory_is_linear_in_pairs():
     domain = OutputDomain(0.0, 1.0, 0.5)
     budget = PrivacyBudget(1.0, 0.0)
     mech = CalibratedMechanism(domain, budget, baseline_scale(domain, budget))
-    qs, partners = _scan_grid(mech, 200)
-    assert qs.size == 199
+    a, z = _scan_grid(mech, 200)
+    assert a.size == 199
     for reps in (1, 16):
-        q, q_prime = np.tile(qs, reps), np.tile(partners, reps)
+        tiled_a, tiled_z = np.tile(a, reps), np.tile(z, reps)
         tracemalloc.start()
         try:
-            worst_interval_margin(mech, q, q_prime)
+            worst_interval_margin(mech, tiled_a, tiled_z)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # a few arrays of one value per pair, nothing per set
-        assert peak < 48 * q.nbytes, (reps, peak)
+        assert peak < 48 * tiled_a.nbytes, (reps, peak)
 
 
 def test_two_interval_oracle_matches_brute_force():
@@ -204,14 +203,3 @@ def test_all_intervals_oracle_matches_brute_force():
                        for fa, fb in zip(f, g) for i in range(8) for j in range(i + 1, 9))
         assert all_intervals_margin(f, g, amp) == pytest.approx(expected, abs=1e-12)
 
-
-def test_kernel_input_validation():
-    # queries must lie in the domain: the CDFs refuse any other
-    domain = OutputDomain(0.0, 1.0, 0.5)
-    mech = CalibratedMechanism(domain, PrivacyBudget(1.0), 0.5)
-    ok = np.array([0.0, 0.25])
-    for qs, partners in ((ok, np.array([0.5, 1.25])),  # a partner above upper
-                         (np.array([-0.25, 0.25]), ok + 0.5),  # a query below lower
-                         (ok, np.array([0.5, math.nan]))):  # not a number
-        with pytest.raises(ValueError, match="query value"):
-            worst_interval_margin(mech, qs, partners)

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from bounded_laplace import (
     run_all_checks,
 )
 from bounded_laplace import mechanism, verification
+from bounded_laplace._kernels import worst_interval_margin
 from bounded_laplace.verification import SCAN_GRID, _sampled_counts, _scan_grid
 from helpers import (
     all_intervals_margin,
@@ -121,8 +123,8 @@ def test_single_intervals_suffice_for_privacy_scan(domain, budget):
     for scale in (baseline_scale(domain, budget), calibrate(domain, budget).b_star):
         mech = CalibratedMechanism(domain, budget, scale)
         amp = math.exp(budget.epsilon)
-        qs, partners = _scan_grid(mech, q_grid=60)
-        rows_q, rows_q_prime = set_grid_tables(mech, qs, partners, 60)
+        a, z = _scan_grid(mech, q_grid=60)
+        rows_q, rows_q_prime = set_grid_tables(mech, a, z, 60)
         lower_set = table_worst_margin(rows_q, rows_q_prime, amp)[0]
         assert two_interval_margin(rows_q, rows_q_prime, amp)[0] <= lower_set + 1e-14
         assert all_intervals_margin(rows_q, rows_q_prime, amp) <= lower_set + 1e-14
@@ -149,7 +151,10 @@ def test_privacy_check_rejects_epsilon_beyond_exp_range():
         assert run_all_checks(domain, budget, **FAST, samples=0).all_passed, eps
         mech = CalibratedMechanism(domain, budget, baseline_scale(domain, budget))
         res = check_privacy_inequality(mech, **FAST)
-        exact = float(mp_pair_delta(mech, res.witness["q"], res.witness["q_prime"])[0])
+        a, z = _scan_grid(mech, FAST["q_grid"])
+        p = worst_interval_margin(mech, a, z)[1]
+        exact = float(mp_pair_delta(mech, a[p], z[p])[0])
+        assert res.witness["q"] == domain.lower + a[p]
         assert not res.passed and math.isfinite(res.worst_margin)
         assert res.worst_margin == pytest.approx(exact, rel=1e-9, abs=0.0), eps
 
@@ -210,8 +215,8 @@ def test_privacy_scan_matches_the_all_intervals_oracle():
         for scale in (report.b0, report.b_star):
             mech = CalibratedMechanism(domain, budget, scale)
             res = check_privacy_inequality(mech, q_grid=40)
-            qs, partners = _scan_grid(mech, q_grid=40)
-            f, g = set_grid_tables(mech, qs, partners, 40)
+            a, z = _scan_grid(mech, q_grid=40)
+            f, g = set_grid_tables(mech, a, z, 40)
             oracle = all_intervals_margin(f, g, amp) - budget.delta
             oracle_fails = oracle > verification.PRIVACY_SLACK
             assert not oracle_fails or not res.passed, (domain, budget, scale, res, oracle)
@@ -223,20 +228,20 @@ def test_privacy_scan_matches_the_all_intervals_oracle():
 def test_privacy_scan_verdict_is_reflection_invariant():
     # x -> -x maps each pair q > q' of a domain and its upper sets onto a
     # pair q < q' of [-upper, -lower] and its lower sets, so scanning the
-    # lower sets of one side must give the mirror domain the same verdict,
-    # and where it fails the same margin
+    # lower sets of one side must give the mirror domain the same verdict;
+    # the mirror has the same width bits, so the scan's offsets and margin
+    # are the same bits too
     grids = {"q_grid": 40}
     fails = 0
     for domain, budget in _oracle_family():
         mirror = OutputDomain(-domain.upper, -domain.lower, domain.sensitivity)
+        assert mirror.width == domain.width
         report = calibrate(domain, budget)
         for scale in (report.b0, report.b_star):
             res = check_privacy_inequality(CalibratedMechanism(domain, budget, scale), **grids)
             ref = check_privacy_inequality(CalibratedMechanism(mirror, budget, scale), **grids)
-            assert res.passed == ref.passed, (domain, budget, scale, res, ref)
-            if not res.passed:
-                assert res.worst_margin == pytest.approx(ref.worst_margin, rel=1e-9), (
-                    domain, budget, scale, res, ref)
+            assert (res.passed, res.worst_margin) == (ref.passed, ref.worst_margin), (
+                domain, budget, scale, res, ref)
             fails += not res.passed
     assert fails > 0
 
@@ -279,39 +284,76 @@ def test_privacy_scan_fails_every_scale_below_b_star_at_zero_delta():
 
 
 def test_privacy_scan_pairs_are_admissible():
-    # q + sensitivity can round to more than one sensitivity from q; each
-    # partner must then step back to the farthest double within reach
+    # the scan's pairs are offsets one sensitivity apart, or ending at the
+    # upper edge: nothing is rounded at the scale of the edges, and only
+    # width - a is rounded, by at most half an ulp of z
     u = 2.0**-52
     tiny = OutputDomain(1.0, 1.0 + 7 * u, u / 2)
     mechs = [CalibratedMechanism(tiny, BUDGET, u / 2), calibrated(FAR_DOMAIN, FAR_BUDGET)]
     mechs += [calibrated(domain, budget) for domain, budget in _oracle_family()]
     for mech in mechs:
-        qs, partners = _scan_grid(mech, q_grid=200)
-        assert (partners > qs).all(), mech.domain
-        assert (partners - qs <= mech.domain.sensitivity).all(), mech.domain
-        # the worst-case pair that the empirical check samples obeys the same rule
-        if qs.size:
-            assert mech.domain.worst_case_pair() == (qs[0], partners[0]), mech.domain
-    # half an ulp of 1: every sum rounds to q or an ulp away, two sensitivities,
-    # so no two grid queries form a pair
-    res = check_privacy_inequality(mechs[0], q_grid=8)
-    assert res.passed and res.worst_margin == -math.inf
-    assert res.witness["q"] is None and res.witness["intervals"] == []
-    # one and a half ulps: the sum rounds to one or two ulps away, and every
-    # partner ends one ulp from q
-    wide = CalibratedMechanism(OutputDomain(1.0, 1.0 + 7 * u, 1.5 * u), BUDGET, u)
-    qs, partners = _scan_grid(wide, q_grid=8)
-    assert len(qs) == 7
-    assert (partners - qs == u).all()
+        d = mech.domain
+        a, z = _scan_grid(mech, q_grid=200)
+        assert a.size == 199 and (a >= 0.0).all() and (z > 0.0).all(), d
+        assert (z <= d.sensitivity).all(), d
+        assert ((z == d.sensitivity) | (z == d.width - a)).all(), d
+        assert all(Fraction(x) + Fraction(y) - Fraction(d.width) <= Fraction(math.ulp(y)) / 2
+                   for x, y in zip(a, z)), d
+        # the worst-case pair that the empirical check samples is a pair of
+        # doubles: min(lower + sensitivity, upper), or the double below it
+        # where that rounds to more than one sensitivity away
+        q, q_prime = d.worst_case_pair()
+        reach = min(d.lower + d.sensitivity, d.upper)
+        assert q == d.lower and q_prime - q <= d.sensitivity, d
+        assert q_prime in (reach, math.nextafter(reach, q)), d
+    # half an ulp of 1: lower + sensitivity rounds to lower itself
+    assert tiny.worst_case_pair() == (1.0, 1.0)
+    # one and a half ulps: the sum rounds to two ulps away, so the partner
+    # steps back one ulp
+    assert OutputDomain(1.0, 1.0 + 7 * u, 1.5 * u).worst_case_pair() == (1.0, 1.0 + u)
 
 
 def test_privacy_scan_with_no_distinct_pair_reports():
-    # one sensitivity moves no grid query by a representable amount
-    domain = OutputDomain(1e6, 1e6 + 1e-6, 1e-15)
-    res = check_privacy_inequality(calibrated(domain), **FAST)
-    assert res.passed and res.worst_margin == -math.inf
-    assert res.witness == {"q": None, "q_prime": None, "intervals": [],
-                           "scale": calibrate(domain, BUDGET).b_star}
+    # one sensitivity moves no grid query by a representable amount, yet the
+    # scan's pairs are the real ones: b0 fails at a finite margin and b_star
+    # passes, on a sensitivity of 1e-15 next to 1e6 and of 2**-53 next to 1
+    u = 2.0**-52
+    for domain in (OutputDomain(1e6, 1e6 + 1e-6, 1e-15), OutputDomain(1.0, 1.0 + 7 * u, u / 2)):
+        report = calibrate(domain, BUDGET)
+        res = check_privacy_inequality(CalibratedMechanism(domain, BUDGET, report.b0), **FAST)
+        assert not res.passed and 0.0 < res.worst_margin < 1.0, (domain, res)
+        assert res.witness["q"] == domain.lower and res.witness["scale"] == report.b0
+        assert check_privacy_inequality(calibrated(domain), **FAST).passed, domain
+    res = check_privacy_inequality(
+        CalibratedMechanism(OutputDomain(1e6, 1e6 + 1e-6, 1e-15), BUDGET, 1e-15), **FAST)
+    assert res.worst_margin == pytest.approx(0.0472, rel=1e-3)
+
+
+@pytest.mark.parametrize("lower", [-3.0, 1e6, -7.25e8])
+def test_privacy_scan_is_translation_invariant(lower):
+    # the scan's pairs are offsets from lower, so a domain of width 1 gives
+    # the same margins wherever it lies, bit for bit, and the same witness
+    # relative to lower: q = lower + a and t = lower + (a + b kappa / 2)
+    thetas = (0.0, 0.9, 1.0)
+    fails = 0
+    for frac in (1e-4, 0.1, 0.5, 0.9):
+        ref_domain = OutputDomain(0.0, 1.0, frac)
+        domain = OutputDomain(lower, lower + 1.0, frac)
+        assert domain.width == 1.0
+        for eps in (0.01, 1.0, 30.0):
+            budget = PrivacyBudget(eps)
+            report = calibrate(ref_domain, budget)
+            for theta in thetas:
+                b = report.b0 * (report.b_star / report.b0) ** theta if theta < 1 else report.b_star
+                ref = check_privacy_inequality(CalibratedMechanism(ref_domain, budget, b), **FAST)
+                res = check_privacy_inequality(CalibratedMechanism(domain, budget, b), **FAST)
+                case = (lower, frac, eps, theta, res, ref)
+                assert (res.passed, res.worst_margin) == (ref.passed, ref.worst_margin), case
+                (lo, t), = res.witness["intervals"]
+                assert res.witness["q"] == lower + ref.witness["q"], case
+                assert (lo, t) == (lower, lower + ref.witness["intervals"][0][1]), case
+                fails += not res.passed
+    assert fails > 0
 
 
 def test_interval_probabilities_match_quadrature():
