@@ -1,7 +1,7 @@
 import json
 import math
-from fractions import Fraction
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
