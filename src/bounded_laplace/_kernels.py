@@ -1,10 +1,10 @@
 """Kernel for the grid privacy scan: each pair's exact delta in closed form.
 
 A pair is given by offsets from the lower edge: q = lower + a and q' = q + z,
-with a >= 0, z > 0 and a + z <= width up to the rounding of width - a.  For
-lambda = log C(q')/C(q), the log likelihood ratio log p_q(x) / p_q'(x) is
-lambda + z/b on [lower, q], falls with slope -2/b on [q, q'] and is lambda -
-z/b on [q', upper].  So the set maximising ``P_q(A) - e^eps P_q'(A)`` is
+with a >= 0, z > 0 and a + z <= width exactly.  For lambda = log
+C(q')/C(q), the log likelihood ratio log p_q(x) / p_q'(x) is lambda + z/b
+on [lower, q], falls with slope -2/b on [q, q'] and is lambda - z/b on
+[q', upper].  So the set maximising ``P_q(A) - e^eps P_q'(A)`` is
 ``[lower, q + u]``, where the ratio exceeds eps: ``u = b kappa / 2`` with
 ``kappa = max(0, lambda + z/b - eps)``, and u <= z because C(q + z) <=
 e^(z/b) C(q) and eps >= 0.  At the crossing x = q + u, ``p_q = e^eps

@@ -125,14 +125,18 @@ class OutputDomain:
         return qa
 
     def worst_case_pair(self) -> tuple:
-        """The query pair (lower, lower + sensitivity) with the largest privacy
-        loss: the farthest double at most one sensitivity above lower,
-        ``min(lower + sensitivity, upper)`` stepped one ulp toward lower where
-        it rounds to more than one sensitivity away."""
-        p = min(self.lower + self.sensitivity, self.upper)
-        if p - self.lower > self.sensitivity:
-            p = math.nextafter(p, self.lower)
-        return self.lower, p
+        """The paper's edge pair (lower, lower + sensitivity) by ``_query_pair``:
+        the worst pair at delta = 0; at delta > 0 the worst pair lies above it."""
+        return _query_pair(self, self.lower, self.sensitivity)
+
+
+def _query_pair(domain, q, z):
+    """(q, q + z) as doubles for z <= sensitivity: ``min(q + z, upper)``, stepped
+    one ulp toward q where it rounds to more than one sensitivity away."""
+    p = min(q + z, domain.upper)
+    if p - q > domain.sensitivity:
+        p = math.nextafter(p, q)
+    return q, p
 
 
 def _normalizer(domain, q, b):

@@ -7,8 +7,8 @@ remaining checks validate the scalar sufficient condition through
 location (on offsets from the lower edge, so every translate of a domain
 gets the same result), and the fixed-point facts behind the calibration
 bracket, all by direct evaluation or central finite differences, and
-sample the worst-case pair.  Every check returns a ``CheckResult``; a
-failing check is a report outcome, never an exception.
+sample the grid check's worst pair.  Every check returns a
+``CheckResult``; a failing check is a report outcome, never an exception.
 
 Scope caveat: the privacy guarantee quantifies over all measurable output
 sets and all query pairs, while the grid check tests each pair q < q' of a
@@ -16,15 +16,16 @@ finite query grid on its worst set, the lower interval ``[lower, t]`` that
 ``_kernels`` solves for; the mirror x -> lower + upper - x maps every pair
 q > q' with its worst set, an upper interval, onto one of these, so a grid
 pair's margin is its exact delta less the budget's.  The grid holds offsets
-a from the lower edge, each paired with ``a + min(sensitivity, width - a)``
-(on a lower set the violation grows with q', so the farthest admissible
-partner is the worst): no pair is rounded at the scale of the edges, and
-every translate of a domain gets the same margins.  The empirical check
-admits the pairs of doubles with ``|q - q'| <= sensitivity`` and samples
-``OutputDomain.worst_case_pair``.  The grid check is a sound falsifier: any
-witness it reports is a real violation, up to the rounding of the
-closed-form delta; queries between grid points are not scanned, so a pass
-is evidence at the query grid's resolution, not a proof.
+a from the lower edge, each paired with ``a + z``, z = min(sensitivity,
+width - a) and a + z <= width exactly (on a lower set the violation grows
+with q', so the farthest admissible partner is the worst): no pair is
+rounded at the scale of the edges, and every translate of a domain gets the
+same margins.  The empirical check admits the pairs of doubles with
+``|q - q'| <= sensitivity`` and samples the grid check's witness pair.
+The grid check is a sound falsifier: any witness it reports is a real
+violation, up to the rounding of the closed-form delta; queries between
+grid points are not scanned, so a pass is evidence at the query grid's
+resolution, not a proof.
 
 The empirical check tests the same inequality with sampled frequencies on
 sets that end at q's quantiles, so it also tests the sampler as run.  Its
@@ -51,8 +52,8 @@ import numpy as np
 from ._kernels import worst_interval_margin
 from .calibration import achieved_epsilon, baseline_scale, calibrate, fixed_point_operator
 from .errors import CalibrationInfeasibleError
-from .mechanism import (BLOCK, CalibratedMechanism, _log_shift_ratio, _require_scale,
-                        normalizer_ratio)
+from .mechanism import (BLOCK, CalibratedMechanism, _log_shift_ratio, _query_pair,
+                        _require_scale, normalizer_ratio)
 
 __all__ = [
     "CheckResult",
@@ -128,11 +129,14 @@ def _require_grid(points):
 def _scan_grid(mech, q_grid):
     """The scan's pairs as offsets ``(a, z)`` from the lower edge: each a of a
     ``q_grid`` linspace of [0, width] but the last, with ``z = min(sensitivity,
-    width - a)`` > 0; a + z passes width by at most the rounding of width - a."""
+    width - a)`` > 0 and a + z <= width exactly: width - a steps one ulp down
+    where TwoSum finds that it rounded up."""
     _require_grid(q_grid)
     w = mech.domain.width
     a = np.linspace(0.0, w, q_grid)[:-1]
-    return a, np.minimum(mech.domain.sensitivity, w - a)
+    rest = w - a
+    up = (w - (rest - (rest - w))) - (a + (rest - w)) < 0.0
+    return a, np.minimum(mech.domain.sensitivity, np.where(up, np.nextafter(rest, 0.0), rest))
 
 
 def check_privacy_inequality(mech, q_grid: int = SCAN_GRID) -> CheckResult:
@@ -142,8 +146,8 @@ def check_privacy_inequality(mech, q_grid: int = SCAN_GRID) -> CheckResult:
     ``P(W_q in A) - e^eps * P(W_q' in A) <= delta + PRIVACY_SLACK`` on the
     worst set A, where the left side is the pair's exact delta, solved in
     closed form by ``_kernels.worst_interval_margin``.  The worst margin,
-    its pair (labelled ``q = lower + a`` and ``q' = min(q + z, upper)``) and
-    its set are recorded either way; ties go to the first pair.
+    its pair (as doubles by ``mechanism._query_pair``, so the empirical check
+    admits it) and its set are recorded either way; ties go to the first pair.
 
     These pairs and sets suffice (see the module docstring), and they are
     the accurate side of the mirror: an upper set's margin
@@ -155,9 +159,9 @@ def check_privacy_inequality(mech, q_grid: int = SCAN_GRID) -> CheckResult:
     a, z = _scan_grid(mech, q_grid)
     raw, p, t = worst_interval_margin(mech, a, z)
     d = mech.domain
-    q = d.lower + float(a[p])
+    q, q_prime = _query_pair(d, d.lower + float(a[p]), float(z[p]))
     margin = raw - mech.budget.delta
-    witness = {"q": q, "q_prime": min(q + float(z[p]), d.upper), "intervals": [[d.lower, t]],
+    witness = {"q": q, "q_prime": q_prime, "intervals": [[d.lower, t]],
                "scale": float(mech.scale)}
     return CheckResult("privacy_inequality", bool(margin <= PRIVACY_SLACK),
                        float(margin), witness)
@@ -352,8 +356,8 @@ def run_all_checks(domain, budget, scale=None, q_grid: int = SCAN_GRID,
     ``scale=None`` checks ``calibrate(domain, budget).b_star``, as ``sample``
     draws at; the baseline scale instead reproduces the non-guarantee.  The
     report records the scale checked.  ``q_grid`` sizes the grid check and
-    ``set_grid`` the empirical one, which runs on the worst-case pair unless
-    ``samples=0``; the grids and ``samples`` are validated before any check.
+    ``set_grid`` the empirical one, which samples the grid check's witness
+    pair unless ``samples=0``; grids and ``samples`` are validated first.
     """
     _require_grid(set_grid)
     if samples < 0:
@@ -366,7 +370,7 @@ def run_all_checks(domain, budget, scale=None, q_grid: int = SCAN_GRID,
         check_fixed_point_properties(domain, budget),
     ]
     if samples:
-        checks.append(empirical_privacy_estimate(mech, *domain.worst_case_pair(),
-                                                 samples=samples, rng=rng,
+        pair = checks[0].witness["q"], checks[0].witness["q_prime"]
+        checks.append(empirical_privacy_estimate(mech, *pair, samples=samples, rng=rng,
                                                  set_grid=set_grid))
     return VerificationReport(tuple(checks), mech.scale)

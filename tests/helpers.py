@@ -7,7 +7,6 @@ import numpy as np
 from scipy import integrate
 
 from bounded_laplace import (
-    CalibratedMechanism,
     CheckResult,
     OutputDomain,
     PrivacyBudget,
@@ -211,31 +210,6 @@ def closed_form_empirical_margin(mech, q, q_prime):
     return float(gains.max())
 
 
-def all_pairs_uniform_scan(mech, q_grid, set_grid):
-    """Oracle for ``check_privacy_inequality``: the grid scan as it stood
-    before pairs one sensitivity apart and per-query set grids.
-
-    Every pair of a ``q_grid`` linspace of queries at most one sensitivity
-    apart (plus 8 ulps of the largest domain edge, (q, q) included), and
-    every interval of one ``set_grid`` linspace of the domain.  Returns the
-    worst ``P_q(A) - e^eps P_q'(A) - delta``.
-    """
-    d = mech.domain
-    qs = np.linspace(d.lower, d.upper, q_grid)
-    xs = np.linspace(d.lower, d.upper, set_grid)
-    cdf = mech.cdf(qs[:, None], xs[None, :])
-    tol = 8.0 * np.spacing(max(abs(d.lower), abs(d.upper), d.width))
-    pair_a, pair_b = np.nonzero(np.abs(qs[:, None] - qs[None, :]) <= d.sensitivity + tol)
-    amp = math.exp(mech.budget.epsilon)
-    best = -np.inf
-    chunk = max(1, 2_000_000 // set_grid)
-    for s in range(0, pair_a.size, chunk):
-        diff = cdf[pair_a[s:s + chunk]] - amp * cdf[pair_b[s:s + chunk]]
-        gain = diff[:, 1:] - np.minimum.accumulate(diff[:, :-1], axis=1)
-        best = max(best, float(gain.max()))
-    return best - mech.budget.delta
-
-
 def mp_pair_delta(mech, a, z):
     """Exact delta at 80 digits of the pair ``q = lower + a < q' = q + z``,
     both sums formed in mpmath: the sup over the lower sets ``[lower, t]``
@@ -263,85 +237,34 @@ def mp_pair_delta(mech, a, z):
                    for t in ts)
 
 
-def set_grid_tables(mech, a, z, set_grid):
-    """The grid check's CDF tables before its worst set had a closed form,
-    for the scan's offset pairs ``(a, z)``.
-
-    The tables are those of the domain moved to lower = 0, which has the
-    same law relative to its edge: query ``a[r]`` is exact there, and its
-    partner is the farthest double at most ``z[r]`` above it.  Query
-    ``a[r]`` has the set grid ``xs[r, k] = quantile(a[r], k / (set_grid -
-    1))``, equal-mass with the domain edges at both ends.  Returns
-    ``(rows_q, rows_q_prime)``, one row per pair, with ``rows_q = F_q`` and
-    ``rows_q_prime = F_{q'}`` at the pair's grid points.
+def mp_hockey_stick(mech, a, z, dps=30):
+    """Exact ``int (p_q - e^eps p_q')_+`` over the domain, the sup of ``P_q(A)
+    - e^eps P_q'(A)`` over every measurable A, for ``q = lower + a`` and
+    ``q' = q + z`` (z < 0 for the reversed pair), all in mpmath at ``dps``
+    digits.  On each piece cut at q and q' the log density ratio is affine,
+    so the integrand changes sign at most once there: bisection on the two
+    densities finds it, and ``mpmath.quad`` integrates the positive part.
+    Neither the worst-set theorem nor the grid check's closed form is used.
     """
-    d = mech.domain
-    moved = CalibratedMechanism(OutputDomain(0.0, d.width, d.sensitivity), mech.budget,
-                                mech.scale)
-    partners = np.minimum(a + z, d.width)
-    partners = np.where(partners - a > z, np.nextafter(partners, a), partners)
-    xs = moved.quantile(a[:, None], np.arange(set_grid) / (set_grid - 1))
-    return moved.cdf(a[:, None], xs), moved.cdf(partners[:, None], xs)
-
-
-def table_worst_margin(rows_q, rows_q_prime, amp):
-    """Oracle: the grid check's search before its worst set had a closed form.
-
-    The largest ``F_q(x_j) - amp * F_q'(x_j)`` over the pairs and the grid
-    points j >= 1 of the tables of :func:`set_grid_tables`: with ``x_0`` the
-    lower edge, where both CDFs are 0, each entry is the margin of the lower
-    set ``[x_0, x_j]``.  Returns ``(margin, pair_index, j)``; ties go to the
-    first pair, then to the first j.
-    """
-    d = rows_q[:, 1:] - amp * rows_q_prime[:, 1:]
-    p, k = divmod(int(np.argmax(d)), d.shape[1])
-    return float(d[p, k]), p, k + 1
-
-
-def two_interval_margin(rows_q, rows_q_prime, amp):
-    """Oracle: the best ``P_q(A) - amp * P_q'(A)`` over unions ``A`` of two
-    disjoint grid intervals, and the first pair attaining it.
-
-    Row p of each table holds the CDF of the p-th pair's query at its grid
-    points.  Running extrema per pair: the best interval ending by column k
-    plus the best one starting at k or later.  Tests compare it with the
-    one-sided scan to show that one-sided sets suffice.
-    """
-    m = rows_q.shape[1]
-    if m < 3:
-        return -np.inf, -1
-    d = rows_q - amp * rows_q_prime
-    run_min = np.minimum.accumulate(d[:, :-1], axis=1)
-    left = np.maximum.accumulate(d[:, 1:] - run_min, axis=1)
-    run_max = np.maximum.accumulate(d[:, :0:-1], axis=1)[:, ::-1]
-    right = np.maximum.accumulate((run_max - d[:, :-1])[:, ::-1], axis=1)[:, ::-1]
-    total = left[:, : m - 2] + right[:, 1: m - 1]
-    k = int(np.argmax(total))
-    return float(total.flat[k]), k // (m - 2)
-
-
-def all_intervals_margin(rows_q, rows_q_prime, amp):
-    """Oracle: the best ``P_q(A) - amp * P_q'(A)`` over every grid interval
-    ``A = [x_i, x_j]``, ``i < j``, of every pair, in the scan's float grouping:
-    the max of ``d[j] - d[i]`` with ``d = F_q - amp * F_q'``, each start
-    ``i`` taken in turn.
-    """
-    d = rows_q - amp * rows_q_prime
-    return max(float((d[:, i + 1:] - d[:, i:i + 1]).max()) for i in range(d.shape[1] - 1))
-
-
-def brute_force_two(rows_q, rows_q_prime, amp):
-    """Best margin over single intervals and unions of two disjoint grid
-    intervals, every union enumerated."""
-    best = -np.inf
-    m = rows_q.shape[1]
-    for fa, fb in zip(rows_q, rows_q_prime):
-        for i1 in range(m - 1):
-            for j1 in range(i1 + 1, m):
-                v1 = (fa[j1] - fa[i1]) - amp * (fb[j1] - fb[i1])
-                best = max(best, v1)
-                for i2 in range(j1, m - 1):
-                    for j2 in range(i2 + 1, m):
-                        v2 = (fa[j2] - fa[i2]) - amp * (fb[j2] - fb[i2])
-                        best = max(best, v1 + v2)
-    return best
+    d, eps = mech.domain, mech.budget.epsilon
+    with mpmath.workdps(dps):
+        lo, hi, a, z, b = (mpmath.mpf(v) for v in (d.lower, d.upper, a, z, mech.scale))
+        q, qp = lo + a, lo + a + z
+        k, kp = 1 / _mp_mass(q, b, lo, hi), mpmath.exp(eps) / _mp_mass(qp, b, lo, hi)
+        def gap(x):  # (p_q - e^eps p_q') 2b
+            return k * mpmath.exp(-abs(x - q) / b) - kp * mpmath.exp(-abs(x - qp) / b)
+        cuts, total = [lo, min(q, qp), max(q, qp), hi], mpmath.mpf(0)
+        for left, right in zip(cuts, cuts[1:]):
+            ends = gap(left) > 0, gap(right) > 0
+            if right == left or not any(ends):
+                continue
+            u, v = left, right
+            if ends[0] != ends[1]:
+                # to 2**-100 of the piece: the integrand vanishes at the sign
+                # change, so the integral errs by a term second order in that
+                for _ in range(100):
+                    m = (u + v) / 2
+                    u, v = (m, v) if (gap(m) > 0) == ends[0] else (u, m)
+                u, v = (left, u) if ends[0] else (v, right)
+            total += mpmath.quad(gap, [u, v])
+        return total / (2 * b)

@@ -470,6 +470,18 @@ def test_verify_empirical_check_fails_b0_at_small_sensitivity(capsys):
     assert empirical["worst_margin"] > 2.0 * empirical["witness"]["resolution"]
 
 
+def test_verify_empirical_check_samples_the_grid_checks_worst_pair(capsys):
+    # at delta > 0 the edge pair (0, 0.1) is not the worst: its closed-form
+    # margin is -0.0010, so no sample count fails it, while at the grid
+    # check's witness pair it is +0.0084, above twice the resolution (0.0037)
+    argv = ["verify", "--epsilon", "1", "--delta", "0.05", "--lower", "0", "--upper", "1",
+            "--sensitivity", "0.1", "--b", "0.1", "--seed", "1", "--format", "json"]
+    code, out, _ = run_cli(argv, capsys)
+    grid, *_, empirical = json.loads(out)["checks"]
+    assert code == 1 and grid["witness"]["q"] > 0.0 and not empirical["passed"]
+    assert empirical["worst_margin"] > empirical["witness"]["resolution"]
+
+
 # ------------------------------------------------------------- seeded output
 
 
@@ -484,7 +496,7 @@ PINNED = ["--epsilon", "1", "--lower", "0", "--upper", "1", "--sensitivity", "0.
     (["verify", *PINNED, "--seed", "7", "--format", "json"], 0,
      "6f97c7cf5a7c25662398beb4c4e532381641dcc3e9d73f7e38b08edefb0338a1"),
     (["verify", *PINNED, "--b", "0.5", "--seed", "7", "--format", "json"], 1,
-     "a33b88c524ed981c7af4e138979db9f093c4c49a5771948cef37fc4c1bbcd6dc"),
+     "1bf3e0f18976c6ed4a94c7cb4438d50b6ee4dd8f0f95cbb257a1edcdf5c1433a"),
     (["sample", *PINNED, "--q", "0.3", "--n", "100000", "--seed", "42",
       "--sampler", "inverse"], 0,
      "6cae4c880ec85368a42d153c91cd1aed582481424e49e076f4d8f4831438957b"),
