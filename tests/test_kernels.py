@@ -98,6 +98,36 @@ def test_kernel_margins_are_zero_exactly_where_the_worst_set_is_empty():
     assert 0 < empty
 
 
+def set_grid_worst_margin(mech, a, z, set_grid):
+    # the check's search before the closed form, on the domain moved to
+    # lower = 0: query a[r] has the equal-mass set grid quantile(a[r], k /
+    # (set_grid - 1)), its partner is the farthest double at most z[r] above
+    # it, and the best lower set [0, x_k], k >= 1, over all pairs is returned
+    d = mech.domain
+    moved = CalibratedMechanism(OutputDomain(0.0, d.width, d.sensitivity), mech.budget,
+                                mech.scale)
+    partners = np.minimum(a + z, d.width)
+    partners = np.where(partners - a > z, np.nextafter(partners, a), partners)
+    xs = moved.quantile(a[:, None], np.arange(set_grid) / (set_grid - 1))
+    margins = (moved.cdf(a[:, None], xs)
+               - math.exp(mech.budget.epsilon) * moved.cdf(partners[:, None], xs))
+    return float(np.max(margins[:, 1:]))
+
+
+def test_kernel_is_never_below_the_set_grid_scan():
+    # a grid set is one lower set, so the exact worst set's margin is never
+    # below the best grid set's, on any domain
+    fails = 0
+    for mech in problems(NEAR_DOMAINS + ((1e6, 1e6 + 1e-3),), (1e-4, 1e-2, 0.5, 1.0),
+                         (0.01, 1.0, 5.0, 30.0, 50.0), (0.0, 0.9, 1.0)):
+        a, z = _scan_grid(mech, 40)
+        grid = set_grid_worst_margin(mech, a, z, 40)
+        closed = worst_interval_margin(mech, a, z)[0]
+        assert closed >= grid, (mech, closed, grid)
+        fails += grid - mech.budget.delta > PRIVACY_SLACK
+    assert fails > 0
+
+
 def test_kernel_matches_per_pair_evaluation_bitwise():
     # the pairs at once, in row order and shuffled, give the first strict
     # maximum of the pairs taken one at a time, bit for bit
